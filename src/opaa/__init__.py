@@ -16,7 +16,6 @@ from .core import (
     build_density,
     coefficient_naive,
     coefficients_contracted,
-    evidence,
     run_opaa,
 )
 from .errors import (
@@ -72,7 +71,6 @@ __all__ = [
     "coefficients_contracted",
     "eval_h",
     "eval_psi",
-    "evidence",
     "extend_table",
     "from_config",
     "gauss_hermite",

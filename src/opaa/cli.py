@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .oracle import BoxSpec, gmm_box_requirement, integrate_box_refined
 from .quadrature import gauss_hermite, weight_multiset_stats
 
 __all__ = [
-    "RunConfig",
     "load_coefficients",
     "main",
     "save_coefficients",
@@ -39,19 +37,6 @@ __all__ = [
 
 COEFFICIENTS_NAME = "coefficients.jsonl"
 SUMMARY_NAME = "summary.json"
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one ``approximate`` invocation."""
-
-    model_path: str
-    quad_order: int
-    tol: float = 1e-8
-    max_degree: int = 20
-    precondition: AffineMap | None = None
-    workers: int | None = None
-    output_dir: str = "."
 
 
 def _g17(value):

@@ -13,10 +13,15 @@ a polynomial of per-axis degree <= 2*Gamma - 1 (e.g. targets of the form
 The normalized reconstruction is [sum_tau a_tau prod_k psi_{tau_k}]^2 divided
 by that total energy.
 
-Grid sums stream over fixed-size contiguous blocks of the linearized index
-range; per-block partial sums are combined in ascending block order no matter
-how many workers ran them, so results are reproducible bit for bit for any
-worker count.
+The sum is separable, so one contraction engine computes every coefficient
+of the box [0, Gamma-1]^dim at once (a higher per-axis degree would alias
+onto the Gamma nodes, so multi-indices never leave the box). The grid is cut
+along its leading axis into slabs of whole rows, a partition fixed by the
+grid shape and BLOCK_SIZE. Each slab evaluates sqrt(P) once per point,
+contracts its full axes and then its leading axis with the (node x degree)
+projection matrix, and the slab partials are added in ascending slab order
+no matter how many workers computed them, so results are reproducible bit
+for bit for any worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermite
-from ._kernels import shell_partial_sums, weight_products
 from .errors import CapacityError, DegenerateTargetError, NumericalDomainError
 from .multiindex import enumerate_shell
 from .quadrature import MAX_ORDER, TensorGrid, gauss_hermite
@@ -45,13 +49,12 @@ __all__ = [
     "build_density",
     "coefficient_naive",
     "coefficients_contracted",
-    "evidence",
     "run_opaa",
 ]
 
 # fixed block size: the reduction partition must not depend on worker count
 BLOCK_SIZE = 16384
-# cap on materialized per-grid-point values (contraction tensor, sqrt-P cache)
+# cap on the entries of the coefficient box every slab contracts into
 TENSOR_VALUE_LIMIT = 10**8
 WORKER_ENV_VAR = "OPAA_MAX_WORKERS"
 
@@ -232,11 +235,12 @@ def _check_target(target, grid):
 
 
 def coefficient_naive(target, grid, table, tau):
-    """Single transform coefficient by direct streaming over the grid.
+    """Single transform coefficient by a plain sum over every grid point.
 
-    Sums w-hat * sqrt(P) * prod h over every grid point in fixed block
-    order, where w-hat is the product of lifted 1-D weights. Exact for
-    targets whose lifted form is a polynomial of per-axis degree
+    Sums w-hat * sqrt(P) * prod_k h_{tau_k} point by point over the decoded
+    grid in fixed block order, where w-hat is the product of lifted 1-D
+    weights. The independent reference for the contraction engine. Exact
+    for targets whose lifted form is a polynomial of per-axis degree
     <= 2*order - 1.
     """
     tau = tuple(int(v) for v in tau)
@@ -245,55 +249,96 @@ def coefficient_naive(target, grid, table, tau):
     _check_target(target, grid)
     _check_table(grid, table, max(tau))
     lifted = _lifted_weights(grid.rule)
-    taus = np.asarray([tau], dtype=np.int64)
+    rows = np.asarray(tau)
     acc = 0.0
     for start, stop in grid.block_ranges(BLOCK_SIZE):
         idx = grid.decode(start, stop)
-        g = weight_products(idx, lifted) * _sqrt_target_values(target, grid.rule, idx)
-        acc += float(shell_partial_sums(idx, g, table.values, taus)[0])
+        weights = np.prod(lifted[idx], axis=1)
+        basis = np.prod(table.values[rows, idx], axis=1)
+        acc += float(
+            np.dot(weights * basis, _sqrt_target_values(target, grid.rule, idx))
+        )
     return acc
+
+
+def _box_extent(grid, max_degree):
+    """Total-degree budget and per-axis box extent for a grid.
+
+    Per-axis degrees stop at order - 1 (h_order vanishes on the nodes and
+    higher degrees alias onto lower ones), so the budget is clamped to
+    dim * (order - 1).
+    """
+    top = grid.rule.order - 1
+    degree = min(int(max_degree), grid.dim * top)
+    return degree, min(degree, top) + 1
+
+
+def _project(target, grid, table, size, workers):
+    """Coefficient box a[tau] for every tau in [0, size - 1]^dim.
+
+    Slabs are runs of whole leading-axis rows; each worker holds one slab of
+    sqrt-P values and one box-sized partial at a time.
+    """
+    dim, order = grid.dim, grid.rule.order
+    if size**dim > TENSOR_VALUE_LIMIT:
+        raise CapacityError(
+            f"coefficient box has {size}^{dim} entries, above the "
+            f"{TENSOR_VALUE_LIMIT} cap; lower max_degree or quad_order"
+        )
+    proj = (table.values[:size] * _lifted_weights(grid.rule)).T
+    row = order ** (dim - 1)
+    step = max(1, BLOCK_SIZE // row)
+    slabs = [(lo, min(lo + step, order)) for lo in range(0, order, step)]
+
+    def slab_partial(slab):
+        lo, hi = slab
+        values = _sqrt_target_values(target, grid.rule, grid.decode(lo * row, hi * row))
+        values = values.reshape((hi - lo,) + (order,) * (dim - 1))
+        for _ in range(dim - 1):
+            # consume the first full axis, append its degree axis at the end;
+            # after dim - 1 rounds the trailing axes are in coordinate order
+            values = np.tensordot(values, proj, axes=([1], [0]))
+        return np.tensordot(proj[lo:hi], values, axes=([0], [0]))
+
+    box = np.zeros((size,) * dim)
+    if workers > 1 and len(slabs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            for partial in executor.map(slab_partial, slabs):
+                box += partial
+    else:
+        for slab in slabs:
+            box += slab_partial(slab)
+    return box
+
+
+def _shells(box, quad_order, degree):
+    """Group a coefficient box into total-degree shells 0..degree."""
+    dim, size = box.ndim, box.shape[0]
+    coeffs = CoefficientSet(dim=dim, quad_order=quad_order)
+    for d in range(degree + 1):
+        taus = [tau for tau in enumerate_shell(dim, d) if max(tau) < size]
+        vec = box[tuple(np.asarray(taus).T)]
+        coeffs.shells.append(dict(zip(taus, vec.tolist())))
+        coeffs.shell_energy.append(float(np.dot(vec, vec)))
+    return coeffs
 
 
 def coefficients_contracted(target, grid, table, max_degree):
     """All coefficients with total degree <= max_degree by axis contraction.
 
-    Materializes the sqrt-P value tensor over the grid (order^dim entries)
-    and contracts one axis at a time with the (degree, node) projection
-    matrix. Agrees with the streaming path to rounding; raises
-    CapacityError above TENSOR_VALUE_LIMIT entries, where the streaming
-    path must be used instead.
+    Streams the grid through the slab engine that run_opaa uses, on one
+    worker. Multi-indices stay inside the box [0, order - 1]^dim and the
+    degree budget is clamped to dim * (order - 1). Raises CapacityError,
+    before evaluating the target, when the box has more than
+    TENSOR_VALUE_LIMIT entries.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     _check_target(target, grid)
-    _check_table(grid, table, max_degree)
-    total = grid.total_count
-    if total > TENSOR_VALUE_LIMIT:
-        raise CapacityError(
-            f"grid has {total} points, above the {TENSOR_VALUE_LIMIT} tensor cap; "
-            "use coefficient_naive / run_opaa (streaming) instead"
-        )
-    order, dim = grid.rule.order, grid.dim
-    flat = np.empty(total)
-    for start, stop in grid.block_ranges(BLOCK_SIZE):
-        idx = grid.decode(start, stop)
-        flat[start:stop] = _sqrt_target_values(target, grid.rule, idx)
-    values = flat.reshape((order,) * dim)
-    proj = (table.values[: max_degree + 1] * _lifted_weights(grid.rule)).T
-    for _ in range(dim):
-        # consume the leading axis, append the degree axis at the end; after
-        # dim rounds the axes are back in coordinate order
-        values = np.tensordot(values, proj, axes=([0], [0]))
-    coeffs = CoefficientSet(dim=dim, quad_order=order)
-    for d in range(max_degree + 1):
-        shell = {}
-        for tau in enumerate_shell(dim, d):
-            shell[tau] = float(values[tau])
-        coeffs.shells.append(shell)
-        coeffs.shell_energy.append(
-            float(np.dot(list(shell.values()), list(shell.values())))
-        )
-    return coeffs
+    degree, size = _box_extent(grid, max_degree)
+    _check_table(grid, table, size - 1)
+    box = _project(target, grid, table, size, workers=1)
+    return _shells(box, grid.rule.order, degree)
 
 
 def _resolve_workers(workers):
@@ -318,11 +363,15 @@ def run_opaa(
 ):
     """Degree-incremental transform of a target density.
 
-    Coefficient shells are computed for total degree d = 0, 1, ... until
-    either the shell energy stays at or below ``tol`` times the running
-    total energy for two consecutive degrees (odd/even parity can empty
-    alternating shells, so one is not enough), or ``max_degree`` is
-    reached. The returned result says which condition fired.
+    Every coefficient shell of total degree d = 0, 1, ..., max_degree comes
+    from one pass of the contraction engine (the degree budget is clamped
+    to dim * (quad_order - 1), and shells keep only multi-indices with
+    every per-axis degree below quad_order). The shells are then kept up
+    to the first degree at which the shell energy has stayed at or below
+    ``tol`` times the running total energy for two consecutive degrees
+    (odd/even parity can empty alternating shells, so one is not enough),
+    or all of them if that never happens. The returned result says which
+    condition fired.
 
     Parameters
     ----------
@@ -339,15 +388,19 @@ def run_opaa(
         Change of variables applied to the target first; preserves the
         evidence.
     workers : int, optional
-        Worker threads for the grid reduction (default: available
+        Worker threads, one grid slab each at a time (default: available
         parallelism, capped by the OPAA_MAX_WORKERS environment variable).
-        The result is bitwise identical for any worker count.
+        The slab partition depends only on the grid shape and slab partials
+        are added in a fixed order, so the result is bitwise identical for
+        any worker count.
 
     Raises
     ------
     DegenerateTargetError
         If every coefficient is numerically zero (no target mass in the
         node range); preconditioning is the usual fix.
+    CapacityError
+        If the coefficient box exceeds TENSOR_VALUE_LIMIT entries.
     """
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -360,66 +413,20 @@ def run_opaa(
     workers = _resolve_workers(workers)
     rule = gauss_hermite(quad_order)
     grid = TensorGrid(rule, target.dim)
-    lifted = _lifted_weights(rule)
-    ranges = grid.block_ranges(BLOCK_SIZE)
-    cache = [None] * len(ranges) if grid.total_count <= TENSOR_VALUE_LIMIT else None
-
-    def block_integrand(block_index, idx):
-        if cache is not None and cache[block_index] is not None:
-            return cache[block_index]
-        g = weight_products(idx, lifted) * _sqrt_target_values(target, rule, idx)
-        if cache is not None:
-            cache[block_index] = g
-        return g
-
-    coeffs = CoefficientSet(dim=grid.dim, quad_order=rule.order)
-    table = None
-    executor = (
-        ThreadPoolExecutor(max_workers=workers)
-        if workers > 1 and len(ranges) > 1
-        else None
-    )
+    degree, size = _box_extent(grid, max_degree)
+    table = hermite.build_table(size - 1, rule.nodes)
+    coeffs = _shells(_project(target, grid, table, size, workers), rule.order, degree)
     converged = False
     quiet_shells = 0
-    try:
-        for d in range(int(max_degree) + 1):
-            table = (
-                hermite.build_table(d, rule.nodes)
-                if table is None
-                else hermite.extend_table(table, d)
-            )
-            taus = enumerate_shell(grid.dim, d)
-            tau_array = np.asarray(taus, dtype=np.int64)
-            tvals = table.values
-
-            def block_task(item):
-                block_index, (start, stop) = item
-                idx = grid.decode(start, stop)
-                g = block_integrand(block_index, idx)
-                return shell_partial_sums(idx, g, tvals, tau_array)
-
-            if executor is None:
-                partials = [block_task(item) for item in enumerate(ranges)]
-            else:
-                partials = list(executor.map(block_task, enumerate(ranges)))
-            vec = np.zeros(len(taus))
-            for partial in partials:
-                vec += partial
-            coeffs.shells.append(
-                {tau: float(a) for tau, a in zip(taus, vec)}
-            )
-            coeffs.shell_energy.append(float(np.dot(vec, vec)))
-            total = coeffs.total_energy
-            if coeffs.shell_energy[-1] <= tol * total:
-                quiet_shells += 1
-                if quiet_shells == 2:
-                    converged = True
-                    break
-            else:
-                quiet_shells = 0
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    for d, energy in enumerate(coeffs.shell_energy):
+        if energy <= tol * float(sum(coeffs.shell_energy[: d + 1])):
+            quiet_shells += 1
+            if quiet_shells == 2:
+                converged = True
+                del coeffs.shells[d + 1 :], coeffs.shell_energy[d + 1 :]
+                break
+        else:
+            quiet_shells = 0
     total = coeffs.total_energy
     if total == 0.0:
         raise DegenerateTargetError(
@@ -435,9 +442,17 @@ def run_opaa(
     )
 
 
-def evidence(coeffs):
-    """Estimated integral of the target: the total transform energy."""
-    return coeffs.total_energy
+def _expansion(box, tables):
+    """sum_tau box[tau] * prod_k tables[k][tau_k, p] at every point p.
+
+    ``tables[k]`` holds the basis functions of axis k at the points, shape
+    (box extent, points). The last coefficient axis is contracted by one
+    matrix product, the others point by point.
+    """
+    s = np.tensordot(box, tables[-1], axes=([-1], [0]))
+    for table in reversed(tables[:-1]):
+        s = np.einsum("...ip,ip->...p", s, table)
+    return s
 
 
 @dataclass(frozen=True)
@@ -452,6 +467,24 @@ class ApproxDensity:
 
     coefficients: CoefficientSet
 
+    def _box(self):
+        # dense coefficient box, and a point count per chunk at which the
+        # largest per-chunk array (one axis table, or the box contracted over
+        # its last axis) holds at most 2^18 entries (2 MB)
+        cs = self.coefficients
+        pairs = list(cs.items())
+        taus = np.asarray([tau for tau, _ in pairs], dtype=np.intp).reshape(-1, cs.dim)
+        extent = int(taus.max(initial=0)) + 1
+        if extent**cs.dim > TENSOR_VALUE_LIMIT:
+            raise CapacityError(
+                f"coefficient box has {extent}^{cs.dim} entries, above the "
+                f"{TENSOR_VALUE_LIMIT} cap"
+            )
+        box = np.zeros((extent,) * cs.dim)
+        box[tuple(taus.T)] = [a for _, a in pairs]
+        chunk = max(1, 2**18 // extent ** max(cs.dim - 1, 1))
+        return box, chunk
+
     def __call__(self, points):
         cs = self.coefficients
         pts = np.asarray(points, dtype=float)
@@ -459,18 +492,16 @@ class ApproxDensity:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != cs.dim:
             raise ValueError(f"points must have {cs.dim} columns, got {pts.shape[1]}")
-        tables = [
-            hermite.psi_table(cs.max_degree, pts[:, k]) for k in range(cs.dim)
-        ]
-        s = np.zeros(pts.shape[0])
-        for tau, a in cs.items():
-            if a == 0.0:
-                continue
-            term = a * tables[0][tau[0]]
-            for k in range(1, cs.dim):
-                term = term * tables[k][tau[k]]
-            s += term
-        out = s * s / cs.total_energy
+        box, chunk = self._box()
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], chunk):
+            part = pts[start : start + chunk]
+            tables = [
+                hermite.psi_table(box.shape[0] - 1, part[:, k]) for k in range(cs.dim)
+            ]
+            s = _expansion(box, tables)
+            out[start : start + chunk] = s * s
+        out /= cs.total_energy
         return float(out[0]) if single else out
 
     def mass(self, quad_order=None):
@@ -490,20 +521,13 @@ class ApproxDensity:
             raise CapacityError(
                 f"normalization grid has {grid.total_count} points (cap 10^7)"
             )
-        table = hermite.build_table(cs.max_degree, rule.nodes)
+        box, chunk = self._box()
+        table = hermite.build_table(box.shape[0] - 1, rule.nodes)
         acc = 0.0
-        for start, stop in grid.block_ranges(BLOCK_SIZE):
+        for start, stop in grid.block_ranges(chunk):
             idx = grid.decode(start, stop)
-            s = np.zeros(idx.shape[0])
-            for tau, a in cs.items():
-                if a == 0.0:
-                    continue
-                term = a * table.values[tau[0], idx[:, 0]]
-                for k in range(1, cs.dim):
-                    term = term * table.values[tau[k], idx[:, k]]
-                s += term
-            w = weight_products(idx, rule.weights)
-            acc += float(np.dot(w, s * s))
+            s = _expansion(box, [table.values[:, idx[:, k]] for k in range(cs.dim)])
+            acc += float(np.dot(np.prod(rule.weights[idx], axis=1), s * s))
         return acc / cs.total_energy
 
 

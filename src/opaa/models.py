@@ -26,7 +26,6 @@ __all__ = [
     "gmm_log_joint",
     "gmm_sample_dataset",
     "load_config",
-    "planted_log_density",
 ]
 
 # three-cluster demo means, kept as a fixed regression input for the sampler
@@ -120,11 +119,6 @@ class PlantedDensity(TargetDensity):
         grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         return float(np.min(self.bracket(pts)))
-
-
-def planted_log_density(planted, theta):
-    """log P(theta) = 2 log|q(theta)| - |theta|^2 for a planted target."""
-    return planted.log_density(theta)
 
 
 @dataclass(frozen=True)

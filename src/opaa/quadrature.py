@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from ._kernels import decode_linear_indices, tridiag_ql
 from .errors import NumericalDomainError
 
 __all__ = [
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 256
+_EPS = 2.220446049250313e-16
+_MAX_QL_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,75 @@ def _validated_order(order):
     return int(order)
 
 
+def _tridiag_ql(diag, off):
+    """Implicit-shift QL for a symmetric tridiagonal matrix.
+
+    Takes the diagonal and the n-1 subdiagonal entries; returns the
+    eigenvalues and the first component of every normalized eigenvector.
+    """
+    d = diag.astype(np.float64).copy()
+    n = d.shape[0]
+    e = np.zeros(n)
+    e[: n - 1] = off
+    # a row of the identity, rotated along with the eigenvectors
+    z = np.zeros(n)
+    z[0] = 1.0
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = n - 1
+            for mm in range(l, n - 1):
+                dd = abs(d[mm]) + abs(d[mm + 1])
+                if abs(e[mm]) <= _EPS * dd:
+                    m = mm
+                    break
+            if m == l:
+                break
+            if sweeps == _MAX_QL_SWEEPS:
+                raise RuntimeError("tridiagonal QL failed to converge in 50 sweeps")
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
+            s = 1.0
+            c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # rotation annihilated early; drop the shift and restart
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return d, z
+
+
 def _jacobi_eigensystem(order):
     # eigenvalues of the Jacobi matrix are the rule's nodes; the squared
     # first eigenvector components give the weights up to the total mass
     diag = np.zeros(order)
     off = np.sqrt(np.arange(1, order) / 2.0)
-    eigs, first = tridiag_ql(diag, off)
+    eigs, first = _tridiag_ql(diag, off)
     sort = np.argsort(eigs, kind="stable")
     return eigs[sort], first[sort]
 
@@ -181,7 +245,8 @@ class TensorGrid:
             raise ValueError(
                 f"linear range [{start}, {stop}) outside [0, {self.total_count})"
             )
-        return decode_linear_indices(start, stop, self.rule.order, self.dim)
+        shape = (self.rule.order,) * self.dim
+        return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
 
     def block_ranges(self, block_size):
         """Contiguous (start, stop) linear ranges covering the whole grid.

@@ -4,19 +4,6 @@ import pytest
 import opaa
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # force one pass through every jitted kernel so compile time never
-    # lands inside a timed test
-    target = opaa.GaussianIdentity(2)
-    opaa.run_opaa(target, 3, max_degree=2, workers=2)
-    rule = opaa.gauss_hermite(3)
-    opaa.integrate_1d(lambda x: x * x, rule)
-    grid = opaa.TensorGrid(rule, 2)
-    grid.decode(0, grid.total_count)
-    return None
-
-
 @pytest.fixture
 def planted_1d():
     return opaa.PlantedDensity(1, {(0,): 1.0, (2,): 0.1})

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import opaa
+import opaa.core
 from opaa.core import (
     AffineMap,
     CoefficientSet,
     TargetDensity,
     _lifted_weights,
+    _resolve_workers,
     build_density,
     coefficient_naive,
     coefficients_contracted,
-    evidence,
     run_opaa,
 )
 from opaa.errors import CapacityError, DegenerateTargetError, NumericalDomainError
@@ -85,12 +86,35 @@ def test_path_equivalence_3d():
         )
 
 
-def test_contracted_capacity_guard():
-    target = opaa.GaussianIdentity(4)
-    grid, table = make_grid_and_table(102, 4, 2)
+class CountingTarget(TargetDensity):
+    def __init__(self, target):
+        self.dim = target.dim
+        self.points = 0
+        self._target = target
+
+    def log_density_batch(self, points):
+        self.points += len(points)
+        return self._target.log_density_batch(points)
+
+
+def test_contracted_capacity_guard(monkeypatch):
+    # the cap is on the coefficient box (min(D, order-1)+1)^dim, checked
+    # before the target is evaluated at all
+    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 100)
+    target = CountingTarget(opaa.GaussianIdentity(2))
+    grid, table = make_grid_and_table(12, 2, 10)
     with pytest.raises(CapacityError) as err:
-        coefficients_contracted(target, grid, table, 2)
-    assert "streaming" in str(err.value)
+        coefficients_contracted(target, grid, table, 10)
+    assert "box" in str(err.value)
+    with pytest.raises(CapacityError):
+        run_opaa(target, 12, max_degree=10, workers=1)
+    assert target.points == 0
+    coeffs = coefficients_contracted(target, grid, table, 9)
+    assert coeffs.coefficient((0, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert target.points == 144
+    # on 10 nodes per-axis degrees stop at 9, so degree 30 still fits the cap
+    grid10, table10 = make_grid_and_table(10, 2, 9)
+    assert coefficients_contracted(target, grid10, table10, 30).max_degree == 18
 
 
 def test_table_must_cover_degree_and_nodes():
@@ -188,7 +212,7 @@ def test_degenerate_target_raises():
 
 
 def test_worker_count_does_not_change_bits():
-    # grid of 32768 points spans two reduction blocks
+    # grid of 32768 points spans two slabs of 16 rows
     target = opaa.GaussianIdentity(3)
     runs = [
         run_opaa(target, 32, max_degree=3, workers=w) for w in (1, 2, 8)
@@ -197,6 +221,58 @@ def test_worker_count_does_not_change_bits():
     for other in runs[1:]:
         assert list(other.coefficients.items()) == base
         assert other.evidence == runs[0].evidence
+
+
+def test_multi_slab_matches_single_slab(monkeypatch):
+    # order 12 in 3-D has 144-point rows: BLOCK_SIZE 300 cuts 6 slabs of 2 rows
+    target = opaa.GaussianIdentity(3)
+    amap = AffineMap(scale=[0.8, 0.9, 1.1], shift=[0.3, -0.2, 0.1])
+    single = run_opaa(target, 12, max_degree=8, precondition=amap, workers=1)
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 300)
+    runs = [
+        run_opaa(target, 12, max_degree=8, precondition=amap, workers=w)
+        for w in (1, 2, 8)
+    ]
+    base = list(runs[0].coefficients.items())
+    assert [tau for tau, _ in base] == [tau for tau, _ in single.coefficients.items()]
+    for (_, a), (_, b) in zip(base, single.coefficients.items()):
+        assert a == pytest.approx(b, rel=0, abs=1e-14)
+    for other in runs[1:]:
+        assert list(other.coefficients.items()) == base
+        assert other.evidence == runs[0].evidence
+
+
+def test_aliased_degrees_are_never_summed():
+    # h_6 aliases onto lower degrees on 5 nodes; with the budget clamped to
+    # per-axis degree <= 4 the energy is the discrete Parseval total
+    target = opaa.PlantedDensity(1, {(0,): 1.0, (2,): 0.3, (6,): 0.2})
+    full = run_opaa(target, 5, max_degree=20, workers=1)
+    capped = run_opaa(target, 5, max_degree=4, workers=1)
+    rule = gauss_hermite(5)
+    p_nodes = np.exp(target.log_density_batch(rule.nodes[:, None]))
+    parseval = float(np.dot(rule.weights * np.exp(rule.nodes**2), p_nodes))
+    assert full.evidence == pytest.approx(1.1233333333333333, rel=1e-9)
+    assert full.evidence == pytest.approx(capped.evidence, rel=1e-13)
+    assert full.evidence == pytest.approx(parseval, rel=1e-12)
+    assert full.max_degree_reached == 4
+    assert all(max(tau) < 5 for tau, _ in full.coefficients.items())
+    grid, table = make_grid_and_table(3, 2, 2)
+    contracted = coefficients_contracted(opaa.GaussianIdentity(2), grid, table, 9)
+    assert contracted.max_degree == 4
+    assert all(max(tau) < 3 for tau, _ in contracted.items())
+
+
+def test_worker_env_cap(monkeypatch):
+    monkeypatch.setenv("OPAA_MAX_WORKERS", "2")
+    assert _resolve_workers(8) == 2
+    assert _resolve_workers(1) == 1
+    assert _resolve_workers(None) <= 2
+    monkeypatch.delenv("OPAA_MAX_WORKERS")
+    assert _resolve_workers(8) == 8
+    with pytest.raises(ValueError):
+        _resolve_workers(0)
+    with pytest.raises(ValueError):
+        _resolve_workers(2.5)
 
 
 def test_affine_map_validation():
@@ -234,18 +310,6 @@ def test_affine_invariance_of_evidence(scale, shift):
     amap = AffineMap(scale=scale, shift=shift)
     result = run_opaa(target, 64, tol=1e-14, max_degree=40, precondition=amap, workers=1)
     assert result.evidence == pytest.approx(1.0, abs=1e-6)
-
-
-def test_evidence_helper():
-    empty = CoefficientSet(dim=1, quad_order=None)
-    assert evidence(empty) == 0.0
-    coeffs = CoefficientSet(
-        dim=1,
-        quad_order=None,
-        shells=[{(0,): 1.0}, {}, {(2,): 0.1}],
-        shell_energy=[1.0, 0.0, 0.01],
-    )
-    assert evidence(coeffs) == pytest.approx(1.01, rel=1e-15)
 
 
 def test_coefficient_set_queries():
@@ -311,6 +375,16 @@ def test_density_mass_capacity_guard():
     density = build_density(coeffs)
     with pytest.raises(CapacityError):
         density.mass(quad_order=100)
+
+
+def test_density_box_capacity_guard(monkeypatch):
+    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 8)
+    coeffs = CoefficientSet(
+        dim=2, quad_order=None, shells=[{(0, 0): 1.0}, {}, {(2, 0): 0.1}],
+        shell_energy=[1.0, 0.0, 0.01],
+    )
+    with pytest.raises(CapacityError):
+        build_density(coeffs)(np.zeros(2))
 
 
 def test_build_density_rejects_degenerate_sets():

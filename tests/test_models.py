@@ -15,7 +15,6 @@ from opaa.models import (
     gmm_log_joint,
     gmm_sample_dataset,
     load_config,
-    planted_log_density,
 )
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
@@ -46,9 +45,6 @@ def test_planted_equals_identity_for_constant_coefficient():
 def test_planted_value_at_origin(planted_1d):
     expected = 2.0 * math.log(math.pi**-0.25 * (1.0 - 0.1 / math.sqrt(2.0)))
     assert planted_1d.log_density(np.array([0.0])) == pytest.approx(expected, rel=1e-12)
-    assert planted_log_density(planted_1d, np.array([0.0])) == pytest.approx(
-        expected, rel=1e-12
-    )
 
 
 def test_planted_zero_crossing_gives_minus_inf():
