@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import hermite
 from .core import TargetDensity
@@ -165,7 +164,7 @@ def _gmm_log_joint_batch(model, mus):
     log_k = np.log(model.clusters)
     for x in model.observations:
         comp = -0.5 * ((x - mus) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI
-        out += logsumexp(comp, axis=1) - log_k
+        out += np.logaddexp.reduce(comp, axis=1) - log_k
     return out
 
 
@@ -173,8 +172,8 @@ def gmm_log_joint(model, mu):
     """Log joint density of means and observations at the mean vector mu.
 
     Sum of the mean priors plus, per observation, the log of the
-    equal-weight mixture likelihood (computed by log-sum-exp, so distant
-    means cannot underflow the whole product).
+    equal-weight mixture likelihood (computed by pairwise log-add-exp, so
+    distant means cannot underflow the whole product).
     """
     return float(_gmm_log_joint_batch(model, mu)[0])
 

@@ -1,11 +1,12 @@
 """Gauss-Hermite quadrature rules and lazy tensor grids.
 
 Nodes are the roots of H_Gamma, found as eigenvalues of the symmetric
-tridiagonal Jacobi matrix (zero diagonal, off-diagonal sqrt(k/2)) via the
-in-repo implicit-shift QL solver; weights come from the closed form
-w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2). Each rule also carries the
-sqrt(2)-scaled variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates
-against the half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
+tridiagonal Jacobi matrix (zero diagonal, off-diagonal sqrt(k/2)) with the
+LAPACK eigensolver behind ``np.linalg.eigh`` (Golub & Welsch 1969); weights
+come from the closed form w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2). Rules are
+built once per order and shared. Each rule also carries the sqrt(2)-scaled
+variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates against the
+half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
 
 Tensor grids over [1..Gamma]^N are never materialized: grid points are
 decoded on demand from linear indices in odometer order (last coordinate
@@ -14,6 +15,7 @@ fastest), and the weight multiset statistics are computed combinatorially.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,8 +36,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 256
-_EPS = 2.220446049250313e-16
-_MAX_QL_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -63,88 +63,23 @@ def _validated_order(order):
     return int(order)
 
 
-def _tridiag_ql(diag, off):
-    """Implicit-shift QL for a symmetric tridiagonal matrix.
-
-    Takes the diagonal and the n-1 subdiagonal entries; returns the
-    eigenvalues and the first component of every normalized eigenvector.
-    """
-    d = diag.astype(np.float64).copy()
-    n = d.shape[0]
-    e = np.zeros(n)
-    e[: n - 1] = off
-    # a row of the identity, rotated along with the eigenvectors
-    z = np.zeros(n)
-    z[0] = 1.0
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = n - 1
-            for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
-                    m = mm
-                    break
-            if m == l:
-                break
-            if sweeps == _MAX_QL_SWEEPS:
-                raise RuntimeError("tridiagonal QL failed to converge in 50 sweeps")
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; drop the shift and restart
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, z
-
-
-def _jacobi_eigensystem(order):
-    # eigenvalues of the Jacobi matrix are the rule's nodes; the squared
-    # first eigenvector components give the weights up to the total mass
-    diag = np.zeros(order)
+def _nodes(order):
+    # Golub & Welsch: the nodes are the eigenvalues of the symmetric
+    # tridiagonal Jacobi matrix, ascending. eigh, not eigvalsh: LAPACK's
+    # eigenvalue-only route loses about a digit at order 256.
     off = np.sqrt(np.arange(1, order) / 2.0)
-    eigs, first = _tridiag_ql(diag, off)
-    sort = np.argsort(eigs, kind="stable")
-    return eigs[sort], first[sort]
-
-
-def _symmetrized_nodes(eigs):
+    eigs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[0]
     nodes = 0.5 * (eigs - eigs[::-1])
-    if nodes.size % 2 == 1:
-        nodes[nodes.size // 2] = 0.0
+    if order % 2 == 1:
+        nodes[order // 2] = 0.0
     return nodes
 
 
 def gauss_hermite(order):
-    """Build the Gauss-Hermite rule of the given order (1..MAX_ORDER).
+    """The Gauss-Hermite rule of the given order (1..MAX_ORDER).
+
+    Rules are immutable, so each order is built once per process and the
+    same instance is returned to every caller.
 
     Returns
     -------
@@ -152,9 +87,12 @@ def gauss_hermite(order):
         Raw (weight e^{-x^2}) and scaled (weight e^{-x^2/2}) node/weight
         pairs, with +/- node pairs symmetrized exactly.
     """
-    order = _validated_order(order)
-    eigs, _ = _jacobi_eigensystem(order)
-    nodes = _symmetrized_nodes(eigs)
+    return _build_rule(_validated_order(order))
+
+
+@functools.cache
+def _build_rule(order):
+    nodes = _nodes(order)
     weights = 1.0 / (order * hermite.eval_h(order - 1, nodes) ** 2)
     weights = 0.5 * (weights + weights[::-1])
     scaled_nodes = np.sqrt(2.0) * nodes
@@ -173,13 +111,19 @@ def gauss_hermite(order):
 def eigenvector_weights(order):
     """Weights recovered from the Jacobi eigenvectors instead of h_{Gamma-1}.
 
-    The squared first components of the normalized eigenvectors, scaled by
-    the total mass sqrt(pi). Exists as an independent route for testing the
-    closed-form weights; :func:`gauss_hermite` does not use it.
+    The normalized eigenvector of the Jacobi matrix for the node r is
+    proportional to (h_0(r), ..., h_{Gamma-1}(r)), so its squared first
+    component times the total mass sqrt(pi) is w = 1 / sum_k h_k(r)^2.
+    The eigenvector is built from the recurrence rather than taken from
+    the eigensolver, whose components are accurate only in absolute terms
+    and would leave the outermost weights off in relative terms. Exists as
+    an independent route for testing the closed-form weights;
+    :func:`gauss_hermite` does not use it.
     """
     order = _validated_order(order)
-    _, first = _jacobi_eigensystem(order)
-    w = np.sqrt(np.pi) * first**2
+    nodes = _nodes(order)
+    table = hermite.build_table(order - 1, nodes)
+    w = 1.0 / np.sum(table.values**2, axis=0)
     return 0.5 * (w + w[::-1])
 
 

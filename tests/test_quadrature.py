@@ -5,6 +5,7 @@ import numpy as np
 import numpy.polynomial.hermite as nph
 import pytest
 
+from opaa import quadrature
 from opaa.errors import NumericalDomainError
 from opaa.hermite import build_table
 from opaa.quadrature import (
@@ -35,7 +36,7 @@ def test_order_two_rule():
     assert np.allclose(rule.weights, [SQRT_PI / 2] * 2, rtol=1e-14)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 21, 34, 64, 128, MAX_ORDER])
 def test_rule_against_numpy_hermgauss(order):
     rule = gauss_hermite(order)
     ref_nodes, ref_weights = nph.hermgauss(order)
@@ -77,7 +78,7 @@ def test_node_interlacing():
 
 
 def test_formula_and_eigenvector_weights_agree():
-    for order in (1, 2, 5, 12, 33, 64):
+    for order in (1, 2, 5, 12, 33, 64, 128, MAX_ORDER):
         rule = gauss_hermite(order)
         alt = eigenvector_weights(order)
         assert np.allclose(rule.weights, alt, rtol=1e-10, atol=1e-300)
@@ -89,10 +90,25 @@ def test_max_order_rule_is_sane():
     assert abs(rule.weights.sum() - SQRT_PI) <= 1e-10
 
 
-@pytest.mark.parametrize("order", [0, -3, MAX_ORDER + 1])
+@pytest.mark.parametrize("order", [0, -3, MAX_ORDER + 1, 3.0, "3", None])
 def test_order_validation(order):
+    # invalid orders must fail before the rule cache: 3.0 hashes and
+    # compares equal to 3, so a cache keyed on the raw argument would hand
+    # back the order-3 rule instead of raising
+    gauss_hermite(3)
+    builds = quadrature._build_rule.cache_info().currsize
     with pytest.raises(ValueError):
         gauss_hermite(order)
+    assert quadrature._build_rule.cache_info().currsize == builds
+
+
+def test_rules_are_cached_per_order():
+    rule = gauss_hermite(17)
+    assert gauss_hermite(17) is rule
+    assert gauss_hermite(np.int64(17)) is rule
+    assert gauss_hermite(18) is not rule
+    for arr in (rule.nodes, rule.weights, rule.scaled_nodes, rule.scaled_weights):
+        assert not arr.flags.writeable
 
 
 def gaussian_moment(k):
