@@ -17,7 +17,9 @@ print one line to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 
@@ -72,14 +74,21 @@ def load_coefficients(path):
                 tau = tuple(int(v) for v in entry["tau"])
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad coefficient line: {exc}")
+                raise ValueError(f"{path}:{lineno}: bad coefficient line: {exc}") from exc
             if dim is None:
                 dim = len(tau)
             elif len(tau) != dim:
                 raise ValueError(
                     f"{path}:{lineno}: multi-index length {len(tau)} != {dim}"
                 )
-            by_degree.setdefault(sum(tau), {})[tau] = a
+            if min(tau, default=0) < 0:
+                raise ValueError(f"{path}:{lineno}: negative multi-index entry in {tau}")
+            if not math.isfinite(a):
+                raise ValueError(f"{path}:{lineno}: non-finite coefficient {a!r}")
+            shell = by_degree.setdefault(sum(tau), {})
+            if tau in shell:
+                raise ValueError(f"{path}:{lineno}: duplicate multi-index {tau}")
+            shell[tau] = a
     if dim is None:
         raise ValueError(f"{path}: no coefficients found")
     coeffs = CoefficientSet(dim=dim, quad_order=None)
@@ -180,10 +189,18 @@ def _cmd_density_grid(args):
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
     vals = density(pts)
-    lines = ["theta1,density" if coeffs.dim == 1 else "theta1,theta2,density"]
-    for row, v in zip(pts, vals):
-        lines.append(",".join(_g17(c) for c in row) + "," + _g17(v))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    # each coordinate is formatted once: as the theta1 prefix of its row of
+    # lines and as a theta2 label; each value once, as its line is built
+    labels = ["%.17g," % c for c in axis.tolist()]
+    if coeffs.dim == 1:
+        header, rows = "theta1,density", [("", vals)]
+    else:
+        header, rows = "theta1,theta2,density", zip(labels, vals.reshape(len(labels), -1))
+    with _output(args.output) as out:
+        out.write(header + "\n")
+        for prefix, row in rows:
+            lines = ["%s%s%.17g\n" % (prefix, c, v) for c, v in zip(labels, row.tolist())]
+            out.write("".join(lines))
     return 0
 
 
@@ -192,7 +209,8 @@ def _cmd_quadrature_table(args):
     lines = ["node,weight,scaled_node,scaled_weight"]
     for row in zip(rule.nodes, rule.weights, rule.scaled_nodes, rule.scaled_weights):
         lines.append(",".join(_g17(v) for v in row))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    with _output(args.output) as out:
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -205,7 +223,8 @@ def _cmd_weights_stats(args):
         "total_count": total_count,
         "histogram": [[w, m] for w, m in histogram],
     }
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    with _output(args.output) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -231,16 +250,19 @@ def _cmd_oracle_evidence(args):
 
     value, delta = integrate_box_refined(integrand, box)
     payload = {"evidence": value, "refinement_delta": delta}
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    with _output(args.output) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _write_text(path, text):
+@contextlib.contextmanager
+def _output(path):
+    """The text stream a subcommand writes to: the file at path, or stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _build_parser():

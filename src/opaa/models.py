@@ -14,6 +14,7 @@ import numpy as np
 
 from . import hermite
 from .core import TargetDensity
+from .errors import is_int
 
 __all__ = [
     "GaussianIdentity",
@@ -42,7 +43,7 @@ class GaussianIdentity(TargetDensity):
     """
 
     def __init__(self, dim):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
 
@@ -67,7 +68,7 @@ class PlantedDensity(TargetDensity):
     """
 
     def __init__(self, dim, coeffs):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
         cleaned = {}
@@ -135,7 +136,7 @@ class GmmModel:
     observations: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.clusters, (int, np.integer)) or self.clusters < 1:
+        if not is_int(self.clusters) or self.clusters < 1:
             raise ValueError(f"clusters must be a positive integer, got {self.clusters!r}")
         if not self.prior_sigma > 0:
             raise ValueError(f"prior_sigma must be > 0, got {self.prior_sigma!r}")
@@ -197,7 +198,7 @@ def gmm_sample_dataset(clusters, prior_sigma, obs_sigma, n, seed):
 
     Deterministic in ``seed``. Returns (means, observations).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, prior_sigma, size=int(clusters))

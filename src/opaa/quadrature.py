@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, is_int
 
 __all__ = [
     "MAX_ORDER",
@@ -56,7 +56,7 @@ class QuadratureRule:
 
 
 def _validated_order(order):
-    if not isinstance(order, (int, np.integer)):
+    if not is_int(order):
         raise ValueError(f"order must be an integer, got {order!r}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
@@ -154,7 +154,7 @@ class TensorGrid:
     """
 
     def __init__(self, rule, dim):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.rule = rule
         self.dim = int(dim)
@@ -218,7 +218,7 @@ def weight_multiset_stats(order, dim):
     summing to total_count. Never enumerates the grid itself.
     """
     rule = gauss_hermite(order)
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
     distinct_count = math.comb(order + dim - 1, dim)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from opaa.cli import load_coefficients, main
-from opaa.core import run_opaa
+from opaa.cli import _g17, load_coefficients, main
+from opaa.core import build_density, run_opaa
 from opaa.hermite import eval_psi
 
 IDENTITY_1D = {"type": "gaussian_identity", "dim": 1}
@@ -209,6 +210,55 @@ def test_density_grid_two_dims(tmp_path):
     assert len(lines) == 11 * 11 + 1
 
 
+def reference_grid_csv(coefficients, lo, hi, n):
+    """The density-grid CSV as the per-row _g17 loop used to write it.
+
+    Returns the bytes and the points and values behind them.
+    """
+    coeffs = load_coefficients(coefficients)
+    axis = np.linspace(lo, hi, n)
+    if coeffs.dim == 1:
+        pts = axis[:, None]
+    else:
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.column_stack([g1.ravel(), g2.ravel()])
+    vals = build_density(coeffs)(pts)
+    lines = ["theta1,density" if coeffs.dim == 1 else "theta1,theta2,density"]
+    for row, v in zip(pts, vals):
+        lines.append(",".join(_g17(c) for c in row) + "," + _g17(v))
+    return ("\n".join(lines) + "\n").encode(), pts, vals
+
+
+# first-line coefficients; the grids below reach |theta| = 40, where the
+# density underflows to exact zeros, through values around 1e-300
+GRID_COEFFICIENTS = {
+    1: [([0], 1.0), ([1], -0.3), ([3], 0.2)],
+    2: [([0, 0], 1.0), ([1, 0], 0.3), ([0, 2], -0.2), ([1, 1], 0.05)],
+}
+
+
+@pytest.mark.parametrize("dim, points", [(1, 141), (2, 36)])
+def test_density_grid_bytes_match_the_per_row_writer(tmp_path, capsys, dim, points):
+    coefficients = tmp_path / "coefficients.jsonl"
+    coefficients.write_text(
+        "".join('{"tau": %s, "a": %r}\n' % (tau, a) for tau, a in GRID_COEFFICIENTS[dim])
+    )
+    expected, pts, vals = reference_grid_csv(coefficients, -40.0, 30.0, points)
+    assert np.any(pts < 0) and np.any(vals == 0.0)
+    assert np.any((vals > 0.0) & (vals < 1e-290))
+    csv = tmp_path / "grid.csv"
+    args = ["density-grid", "--coefficients", str(coefficients), "--range=-40:30"]
+    args += ["--points", str(points)]
+    assert main(args + ["--output", str(csv)]) == 0
+    assert csv.read_bytes() == expected
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == expected
+    table = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, :dim], pts)
+    assert np.array_equal(table[:, dim], vals)
+
+
 def test_density_grid_rejects_three_dims(tmp_path, capsys):
     path = tmp_path / "coefficients.jsonl"
     path.write_text('{"tau": [0, 0, 0], "a": 1.0}\n')
@@ -253,6 +303,37 @@ def test_coefficient_file_round_trip_is_exact(tmp_path, planted_1d):
     for tau, a in direct.items():
         # %.17g round-trips doubles, so the file loses nothing
         assert loaded.coefficient(tau) == a
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"tau": [0, 0], "a": 1.0}', '{"tau": [2, -1], "a": 0.5}'], "negative multi-index"),
+        # a 1-D degree -1 line used to be dropped without a word
+        (['{"tau": [0], "a": 1.0}', '{"tau": [-1], "a": 0.5}'], "negative multi-index"),
+        (['{"tau": [0, 0], "a": 1.0}', '{"tau": [1, 0], "a": NaN}'], "non-finite coefficient"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": -Infinity}'], "non-finite coefficient"),
+        (['{"tau": [0, 0], "a": 1.0}', '{"tau": [0, 0], "a": 0.5}'], "duplicate multi-index"),
+    ],
+    ids=["negative", "negative-1d", "nan", "infinity", "duplicate"],
+)
+def test_bad_coefficient_files_are_rejected(tmp_path, capsys, lines, message):
+    path = tmp_path / "coefficients.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        load_coefficients(path)
+    args = ["density-grid", "--coefficients", str(path), "--range=-2:2", "--points", "5"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{path}:2: {message}" in captured.err
+
+
+def test_bad_coefficient_line_keeps_its_cause(tmp_path):
+    path = tmp_path / "coefficients.jsonl"
+    path.write_text('{"tau": [0]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad coefficient line")) as info:
+        load_coefficients(path)
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 def test_workers_do_not_change_output_bytes(tmp_path):

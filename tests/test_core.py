@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from opaa.core import (
 )
 from opaa.errors import CapacityError, DegenerateTargetError, NumericalDomainError
 from opaa.hermite import build_table, eval_psi
-from opaa.quadrature import TensorGrid, gauss_hermite
+from opaa.multiindex import enumerate_shell
+from opaa.quadrature import TensorGrid, eigenvector_weights, gauss_hermite
 
 
 def make_grid_and_table(order, dim, degree):
@@ -262,6 +264,50 @@ def test_aliased_degrees_are_never_summed():
     assert all(max(tau) < 3 for tau, _ in contracted.items())
 
 
+def _unit_density():
+    return build_density(
+        CoefficientSet(dim=1, quad_order=None, shells=[{(0,): 1.0}], shell_energy=[1.0])
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: gauss_hermite(True), id="gauss_hermite-order"),
+        pytest.param(lambda: eigenvector_weights(True), id="eigenvector_weights-order"),
+        pytest.param(lambda: TensorGrid(gauss_hermite(3), True), id="TensorGrid-dim"),
+        pytest.param(lambda: opaa.weight_multiset_stats(3, True), id="weight_stats-dim"),
+        pytest.param(
+            lambda: run_opaa(opaa.GaussianIdentity(1), 4, max_degree=True),
+            id="run_opaa-max_degree",
+        ),
+        pytest.param(
+            lambda: run_opaa(opaa.GaussianIdentity(1), 4, workers=True),
+            id="run_opaa-workers",
+        ),
+        pytest.param(
+            lambda: run_opaa(opaa.GaussianIdentity(1), 4, tol=True), id="run_opaa-tol"
+        ),
+        pytest.param(lambda: _unit_density().mass(quad_order=True), id="mass-quad_order"),
+        pytest.param(lambda: opaa.GaussianIdentity(True), id="GaussianIdentity-dim"),
+        pytest.param(lambda: opaa.PlantedDensity(True, {(0,): 1.0}), id="Planted-dim"),
+        pytest.param(
+            lambda: opaa.GmmModel(
+                clusters=True, prior_sigma=1.0, obs_sigma=1.0, observations=[]
+            ),
+            id="GmmModel-clusters",
+        ),
+        pytest.param(
+            lambda: opaa.gmm_sample_dataset(1, 1.0, 1.0, True, seed=0),
+            id="gmm_sample_dataset-n",
+        ),
+    ],
+)
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_worker_env_cap(monkeypatch):
     monkeypatch.setenv("OPAA_MAX_WORKERS", "2")
     assert _resolve_workers(8) == 2
@@ -366,6 +412,39 @@ def test_density_mass_is_one(planted_1d):
     density = build_density(result.coefficients)
     assert density.mass() == pytest.approx(1.0, abs=1e-9)
     assert density.mass(quad_order=12) == pytest.approx(1.0, abs=1e-9)
+
+
+def mass_by_nodes(density, quad_order):
+    """mass() as the plain weighted sum over every node of the tensor rule."""
+    cs = density.coefficients
+    rule = gauss_hermite(quad_order)
+    table = build_table(cs.max_degree, rule.nodes).values
+    pairs = list(cs.items())
+    taus = np.array([tau for tau, _ in pairs])
+    values = np.array([a for _, a in pairs])
+    total = 0.0
+    for idx in itertools.product(range(rule.order), repeat=cs.dim):
+        basis = np.prod([table[taus[:, k], i] for k, i in enumerate(idx)], axis=0)
+        total += np.prod(rule.weights[list(idx)]) * np.dot(values, basis) ** 2
+    return total / cs.total_energy
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_mass_matches_node_sum(dim):
+    rng = np.random.default_rng(dim)
+    degree = 5
+    coeffs = CoefficientSet(dim=dim, quad_order=None)
+    for d in range(degree + 1):
+        shell = {tau: float(rng.normal()) * 0.6**d for tau in enumerate_shell(dim, d)}
+        coeffs.shells.append(shell)
+        coeffs.shell_energy.append(sum(a * a for a in shell.values()))
+    density = build_density(coeffs)
+    # the default order and a raised one integrate exactly; a lowered one
+    # does not, so only it tells the off-diagonal Gram entries apart
+    for quad_order in (None, degree + 5, degree - 2):
+        expected = mass_by_nodes(density, quad_order or degree + 1)
+        assert abs(density.mass(quad_order) - expected) <= 1e-13
+    assert abs(mass_by_nodes(density, degree - 2) - 1.0) > 1e-3
 
 
 def test_density_mass_capacity_guard():
