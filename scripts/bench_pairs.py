@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of the benchmark, written as one record.
 
     python3 scripts/bench_pairs.py --parent HEAD --first-seed 20 --pairs 10 \
-        --workload density-grid --output BENCH_4.json
+        --output BENCH_4.json
 
 Run from anywhere inside a git checkout. The parent side is the committed
 files of ``--parent``, exported with ``git archive`` into a temporary
 directory (a fresh copy, so nothing is registered in the repository); the
 change side is the working tree of the checkout. Each side runs its own
-``perfbench/run.py`` with ``--trace 0``. The script refuses to start when
+``perfbench/run.py`` on every workload of ``BENCHMARK.json`` with its
+``run_seconds`` and ``--trace 0``. The script refuses to start when
 the two copies of ``perfbench/`` or ``BENCHMARK.json`` differ, so both
 sides are measured by identical benchmark code.
 
@@ -41,8 +42,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git revision of the parent side")
     p.add_argument("--first-seed", type=int, required=True, help="seed of the first pair")
     p.add_argument("--pairs", type=int, default=10, help="pairs per workload")
-    p.add_argument("--workload", action="append", help="repeatable (default: every workload)")
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     p.add_argument("--output", required=True, help="path of the JSON record")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -83,7 +82,7 @@ def same_benchmark(a, b):
 def run_once(tree, workload, seed, seconds):
     """One benchmark process: its final JSON line and its environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", repr(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     env = next(
@@ -136,8 +135,7 @@ def summarize(runs, spec):
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = spec["run_seconds"]
     runs, env = [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         commit, parent_tree = export_revision(args.parent, scratch)
@@ -145,7 +143,7 @@ def main(argv=None):
             print("error: perfbench/ or BENCHMARK.json differ between the sides", file=sys.stderr)
             return 1
         trees = {"parent": parent_tree, "change": ROOT}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:

@@ -42,7 +42,8 @@ SUMMARY_NAME = "summary.json"
 
 
 def _g17(value):
-    return format(float(value), ".17g")
+    # the density-grid value template repeats this format inline
+    return "%.17g" % float(value)
 
 
 def save_coefficients(coeffs, path):
@@ -190,8 +191,9 @@ def _cmd_density_grid(args):
         pts = np.column_stack([g1.ravel(), g2.ravel()])
     vals = density(pts)
     # each coordinate is formatted once: as the theta1 prefix of its row of
-    # lines and as a theta2 label; each value once, as its line is built
-    labels = ["%.17g," % c for c in axis.tolist()]
+    # lines and as a theta2 label; each value once, as its line is built,
+    # with _g17's format
+    labels = [_g17(c) + "," for c in axis.tolist()]
     if coeffs.dim == 1:
         header, rows = "theta1,density", [("", vals)]
     else:
