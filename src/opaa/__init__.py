@@ -35,6 +35,7 @@ from .models import (
     gmm_sample_dataset,
     load_config,
 )
+from .multiindex import enumerate_shell, shell_count
 from .oracle import BoxSpec, gmm_evidence_direct, integrate_box, integrate_box_refined
 from .quadrature import (
     QuadratureRule,
@@ -69,6 +70,7 @@ __all__ = [
     "build_table",
     "coefficient_naive",
     "coefficients_contracted",
+    "enumerate_shell",
     "eval_h",
     "eval_psi",
     "extend_table",
@@ -82,5 +84,6 @@ __all__ = [
     "integrate_box_refined",
     "load_config",
     "run_opaa",
+    "shell_count",
     "weight_multiset_stats",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from .core import AffineMap, CoefficientSet, build_density, run_opaa
 from .models import GmmJointDensity, from_config, load_config
 from .oracle import BoxSpec, gmm_box_requirement, integrate_box_refined
-from .quadrature import gauss_hermite, weight_multiset_stats
+from .quadrature import MAX_ORDER, gauss_hermite, weight_multiset_stats
 
 __all__ = [
     "load_coefficients",
@@ -39,6 +39,7 @@ __all__ = [
 
 COEFFICIENTS_NAME = "coefficients.jsonl"
 SUMMARY_NAME = "summary.json"
+_JSON_INTEGER = frozenset({int})
 
 
 def _g17(value):
@@ -53,8 +54,8 @@ def save_coefficients(coeffs, path):
     so files produced from the same run are byte-identical.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for tau, a in coeffs.items():
-            fh.write('{"tau": %s, "a": %s}\n' % (json.dumps(list(tau)), _g17(a)))
+        for tau, a in zip(coeffs.taus.tolist(), coeffs.values.tolist()):
+            fh.write('{"tau": %s, "a": %s}\n' % (json.dumps(tau), _g17(a)))
 
 
 def load_coefficients(path):
@@ -62,8 +63,9 @@ def load_coefficients(path):
 
     The producing quadrature order is not recorded in the file, so
     ``quad_order`` is None; shell energies are recomputed from the values.
+    Lines may come in any degree order; each shell keeps its lines' order.
     """
-    by_degree = {}
+    coefficients = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -72,33 +74,38 @@ def load_coefficients(path):
                 continue
             try:
                 entry = json.loads(line)
-                tau = tuple(int(v) for v in entry["tau"])
+                tau = tuple(entry["tau"])
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad coefficient line: {exc}") from exc
+            # a JSON integer parses to exactly int (true and false to bool)
+            if not tau or not _JSON_INTEGER.issuperset(map(type, tau)):
+                raise ValueError(
+                    f"{path}:{lineno}: multi-index is not a non-empty list of "
+                    f"integers: {entry['tau']!r}"
+                )
             if dim is None:
                 dim = len(tau)
             elif len(tau) != dim:
                 raise ValueError(
                     f"{path}:{lineno}: multi-index length {len(tau)} != {dim}"
                 )
-            if min(tau, default=0) < 0:
+            if min(tau) < 0:
                 raise ValueError(f"{path}:{lineno}: negative multi-index entry in {tau}")
+            if max(tau) >= MAX_ORDER:
+                # no rule resolves that degree, and every degree below the
+                # total would become a shell
+                raise ValueError(
+                    f"{path}:{lineno}: multi-index entry above {MAX_ORDER - 1} in {tau}"
+                )
             if not math.isfinite(a):
                 raise ValueError(f"{path}:{lineno}: non-finite coefficient {a!r}")
-            shell = by_degree.setdefault(sum(tau), {})
-            if tau in shell:
+            if tau in coefficients:
                 raise ValueError(f"{path}:{lineno}: duplicate multi-index {tau}")
-            shell[tau] = a
+            coefficients[tau] = a
     if dim is None:
         raise ValueError(f"{path}: no coefficients found")
-    coeffs = CoefficientSet(dim=dim, quad_order=None)
-    for d in range(max(by_degree) + 1):
-        shell = by_degree.get(d, {})
-        coeffs.shells.append(shell)
-        vals = np.fromiter(shell.values(), dtype=float, count=len(shell))
-        coeffs.shell_energy.append(float(np.dot(vals, vals)))
-    return coeffs
+    return CoefficientSet.from_pairs(dim, None, coefficients.items())
 
 
 def save_summary(result, path):

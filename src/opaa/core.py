@@ -29,12 +29,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import hermite
 from .errors import CapacityError, DegenerateTargetError, NumericalDomainError, is_int
-from .multiindex import enumerate_shell
 from .quadrature import TensorGrid, gauss_hermite
 
 __all__ = [
@@ -145,28 +145,80 @@ class _PulledBackTarget(TargetDensity):
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Transform coefficients grouped by total degree.
+    """Transform coefficients in shell order.
 
-    ``shells[d]`` maps each multi-index tuple of total degree d to its
-    coefficient, in enumeration order; ``shell_energy[d]`` is the sum of
-    squared coefficients of that shell. ``quad_order`` is None for sets
+    ``taus`` is an (n, dim) int array of multi-indices and ``values`` holds
+    their n coefficients; both are read-only and sorted by total degree
+    (the shell). The engine lists each shell in multiindex.enumerate_shell
+    order. ``shell_energy[d]`` is the sum of squared coefficients of total
+    degree d, for d = 0..max_degree, the largest degree present; a degree
+    with no coefficient is an empty shell. ``quad_order`` is None for sets
     re-read from disk, where the producing rule is unknown.
     """
 
     dim: int
     quad_order: int | None
-    shells: list[dict[tuple[int, ...], float]] = field(default_factory=list)
-    shell_energy: list[float] = field(default_factory=list)
+    taus: np.ndarray
+    values: np.ndarray
+    shell_energy: tuple[float, ...] = field(init=False)
+    # shell d is rows _bounds[d]:_bounds[d + 1]
+    _bounds: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        taus = np.array(self.taus, dtype=np.intp)
+        values = np.array(self.values, dtype=float)
+        if taus.ndim != 2 or taus.shape[1] != self.dim or values.shape != taus.shape[:1]:
+            raise ValueError(
+                f"need an (n, {self.dim}) taus array and n values, got shapes "
+                f"{taus.shape} and {values.shape}"
+            )
+        degrees = taus.sum(axis=1)
+        if taus.size and (taus.min() < 0 or np.any(np.diff(degrees) < 0)):
+            raise ValueError("multi-indices must be non-negative and in shell order")
+        top = int(degrees[-1]) if degrees.size else -1
+        bounds = np.searchsorted(degrees, np.arange(top + 2)).tolist()
+        energy = tuple(
+            float(np.dot(values[lo:hi], values[lo:hi]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+        taus.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "shell_energy", energy)
+        object.__setattr__(self, "_bounds", bounds)
+
+    @classmethod
+    def from_pairs(cls, dim, quad_order, pairs):
+        """Set from (tau, coefficient) pairs in any order.
+
+        The pairs are sorted stably by total degree, so each shell keeps
+        the order in which its pairs were given.
+        """
+        pairs = list(pairs)
+        taus = np.array([tau for tau, _ in pairs], dtype=np.intp).reshape(len(pairs), dim)
+        values = np.array([a for _, a in pairs], dtype=float)
+        order = np.argsort(taus.sum(axis=1), kind="stable")
+        return cls(dim, quad_order, taus[order], values[order])
 
     @property
     def max_degree(self):
-        return len(self.shells) - 1
+        return len(self.shell_energy) - 1
 
     @property
     def total_energy(self):
         return float(sum(self.shell_energy))
+
+    @property
+    def shells(self):
+        """Per-degree read-only mappings tau -> coefficient, built on each access."""
+        pairs = list(self.items())
+        return tuple(
+            MappingProxyType(dict(pairs[lo:hi]))
+            for lo, hi in zip(self._bounds[:-1], self._bounds[1:])
+        )
 
     def coefficient(self, tau):
         """Coefficient at the multi-index tau (0.0 if outside every shell)."""
@@ -174,14 +226,15 @@ class CoefficientSet:
         if len(tau) != self.dim:
             raise ValueError(f"multi-index must have {self.dim} entries, got {tau}")
         degree = sum(tau)
-        if degree >= len(self.shells):
+        if min(tau) < 0 or degree > self.max_degree:
             return 0.0
-        return self.shells[degree].get(tau, 0.0)
+        lo, hi = self._bounds[degree], self._bounds[degree + 1]
+        hit = np.flatnonzero(np.all(self.taus[lo:hi] == tau, axis=1))
+        return float(self.values[lo + hit[0]]) if hit.size else 0.0
 
     def items(self):
-        """Yield (tau, coefficient) in shell order, then enumeration order."""
-        for shell in self.shells:
-            yield from shell.items()
+        """(tau, coefficient) pairs in shell order, as tuples and floats."""
+        return zip(map(tuple, self.taus.tolist()), self.values.tolist())
 
 
 @dataclass(frozen=True)
@@ -311,16 +364,35 @@ def _project(target, grid, table, size, workers):
     return box
 
 
+def _shell_layout(dim, size, degree):
+    """Every tau in [0, size - 1]^dim with total degree <= degree, in shell order.
+
+    Shell order is total degree ascending, then descending lexicographic
+    (multiindex.enumerate_shell's order). Each axis repeats every prefix
+    once per entry its remaining degree budget allows, entries running high
+    to low, which lists all taus in descending lexicographic order; a
+    stable sort by degree then groups the shells. The cost is proportional
+    to the number of taus, not to the size^dim box.
+    """
+    budget = np.array([degree])
+    columns = []
+    for _ in range(dim):
+        top = np.minimum(budget, size - 1)
+        counts = top + 1
+        parent = np.repeat(np.arange(budget.size), counts)
+        rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        entry = top[parent] - rank
+        columns = [c[parent] for c in columns] + [entry]
+        budget = budget[parent] - entry
+    # a key of at most 16 bits takes numpy's radix sort
+    key = (degree - budget).astype(np.min_scalar_type(degree))
+    return np.column_stack(columns)[np.argsort(key, kind="stable")]
+
+
 def _shells(box, quad_order, degree):
-    """Group a coefficient box into total-degree shells 0..degree."""
-    dim, size = box.ndim, box.shape[0]
-    coeffs = CoefficientSet(dim=dim, quad_order=quad_order)
-    for d in range(degree + 1):
-        taus = [tau for tau in enumerate_shell(dim, d) if max(tau) < size]
-        vec = box[tuple(np.asarray(taus).T)]
-        coeffs.shells.append(dict(zip(taus, vec.tolist())))
-        coeffs.shell_energy.append(float(np.dot(vec, vec)))
-    return coeffs
+    """The coefficients of a box in total-degree shells 0..degree."""
+    taus = _shell_layout(box.ndim, box.shape[0], degree)
+    return CoefficientSet(box.ndim, quad_order, taus, box[tuple(taus.T)])
 
 
 def coefficients_contracted(target, grid, table, max_degree):
@@ -423,7 +495,10 @@ def run_opaa(
             quiet_shells += 1
             if quiet_shells == 2:
                 converged = True
-                del coeffs.shells[d + 1 :], coeffs.shell_energy[d + 1 :]
+                end = coeffs._bounds[d + 1]
+                coeffs = CoefficientSet(
+                    coeffs.dim, coeffs.quad_order, coeffs.taus[:end], coeffs.values[:end]
+                )
                 break
         else:
             quiet_shells = 0
@@ -472,16 +547,14 @@ class ApproxDensity:
         # largest per-chunk array (one axis table, or the box contracted over
         # its last axis) holds at most 2^18 entries (2 MB)
         cs = self.coefficients
-        pairs = list(cs.items())
-        taus = np.asarray([tau for tau, _ in pairs], dtype=np.intp).reshape(-1, cs.dim)
-        extent = int(taus.max(initial=0)) + 1
+        extent = int(cs.taus.max(initial=0)) + 1
         if extent**cs.dim > TENSOR_VALUE_LIMIT:
             raise CapacityError(
                 f"coefficient box has {extent}^{cs.dim} entries, above the "
                 f"{TENSOR_VALUE_LIMIT} cap"
             )
         box = np.zeros((extent,) * cs.dim)
-        box[tuple(taus.T)] = [a for _, a in pairs]
+        box[tuple(cs.taus.T)] = cs.values
         chunk = max(1, 2**18 // extent ** max(cs.dim - 1, 1))
         return box, chunk
 
@@ -532,7 +605,7 @@ class ApproxDensity:
 
 def build_density(coeffs):
     """Wrap a coefficient set as a normalized evaluable density."""
-    if not coeffs.shells:
+    if coeffs.values.size == 0:
         raise ValueError("coefficient set is empty")
     if coeffs.total_energy <= 0.0:
         raise ValueError("coefficient set has zero total energy")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapacityError
+from .errors import CapacityError, is_int
 
 __all__ = ["enumerate_shell", "shell_count"]
 
@@ -13,10 +13,12 @@ _MAX_COUNT = 2**63 - 1
 
 
 def _validate(dim, degree):
-    if not isinstance(dim, int) or dim < 1:
+    """(dim, degree) as plain ints, so the tuples built from them are too."""
+    if not is_int(dim) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(degree, int) or degree < 0:
+    if not is_int(degree) or degree < 0:
         raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+    return int(dim), int(degree)
 
 
 def enumerate_shell(dim, degree):
@@ -25,7 +27,7 @@ def enumerate_shell(dim, degree):
     Returned as tuples in reverse-lexicographic order, i.e. descending on
     the leading entries: enumerate_shell(2, 2) -> [(2, 0), (1, 1), (0, 2)].
     """
-    _validate(dim, degree)
+    dim, degree = _validate(dim, degree)
     out = []
 
     def rec(prefix, remaining, slots):
@@ -45,7 +47,7 @@ def shell_count(dim, degree):
     Computed exactly; raises CapacityError if the count exceeds the platform
     integer range (it could not index anything anyway).
     """
-    _validate(dim, degree)
+    dim, degree = _validate(dim, degree)
     count = math.comb(degree + dim - 1, dim - 1)
     if count > _MAX_COUNT:
         raise CapacityError(

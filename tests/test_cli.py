@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from opaa.cli import _g17, load_coefficients, main
+from opaa.cli import _g17, load_coefficients, main, save_coefficients
 from opaa.core import build_density, run_opaa
 from opaa.hermite import eval_psi
 
@@ -31,6 +31,7 @@ GMM_CONJUGATE = {
     "obs_sigma": 1.0,
     "observations": [0.0],
 }
+NOT_INTEGERS = "multi-index is not a non-empty list of integers: "
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -305,6 +306,48 @@ def test_coefficient_file_round_trip_is_exact(tmp_path, planted_1d):
         assert loaded.coefficient(tau) == a
 
 
+def test_coefficient_file_save_load_save_is_byte_identical(tmp_path, planted_2d):
+    coeffs = run_opaa(planted_2d, 7, tol=1e-30, max_degree=9, workers=1).coefficients
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_coefficients(coeffs, first)
+    loaded = load_coefficients(first)
+    save_coefficients(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.taus.dtype == coeffs.taus.dtype
+    assert np.array_equal(loaded.taus, coeffs.taus)
+    assert np.array_equal(loaded.values, coeffs.values)
+    assert loaded.shell_energy == coeffs.shell_energy
+
+
+def test_coefficient_file_lines_load_into_shell_order(tmp_path):
+    path = tmp_path / "coefficients.jsonl"
+    lines = [
+        '{"tau": [0, 3], "a": 0.25}',
+        '{"tau": [0, 0], "a": 1.0}',
+        '{"tau": [1, 2], "a": -0.5}',
+        '{"tau": [3, 0], "a": 0.75}',
+        '{"tau": [1, 0], "a": 0.5}',
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    coeffs = load_coefficients(path)
+    # degree order first, file order within a shell; degree 2 is missing
+    assert list(coeffs.items()) == [
+        ((0, 0), 1.0),
+        ((1, 0), 0.5),
+        ((0, 3), 0.25),
+        ((1, 2), -0.5),
+        ((3, 0), 0.75),
+    ]
+    assert coeffs.max_degree == 3
+    assert list(coeffs.shell_energy) == [1.0, 0.25, 0.0, 0.0625 + 0.25 + 0.5625]
+    assert [dict(s) for s in coeffs.shells] == [
+        {(0, 0): 1.0},
+        {(1, 0): 0.5},
+        {},
+        {(0, 3): 0.25, (1, 2): -0.5, (3, 0): 0.75},
+    ]
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -314,8 +357,27 @@ def test_coefficient_file_round_trip_is_exact(tmp_path, planted_1d):
         (['{"tau": [0, 0], "a": 1.0}', '{"tau": [1, 0], "a": NaN}'], "non-finite coefficient"),
         (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": -Infinity}'], "non-finite coefficient"),
         (['{"tau": [0, 0], "a": 1.0}', '{"tau": [0, 0], "a": 0.5}'], "duplicate multi-index"),
+        # int() used to turn these into (2,), (1,) and (2,)
+        (['{"tau": [0], "a": 1.0}', '{"tau": [2.7], "a": 0.5}'], NOT_INTEGERS + "[2.7]"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [true], "a": 0.5}'], NOT_INTEGERS + "[True]"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": ["2"], "a": 0.5}'], NOT_INTEGERS + "['2']"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [], "a": 0.5}'], NOT_INTEGERS + "[]"),
+        # no rule resolves per-axis degree 256; at 10**9 the shells alone
+        # would fill memory
+        (['{"tau": [0, 0], "a": 1.0}', '{"tau": [1, 256], "a": 0.5}'], "multi-index entry above 255"),
     ],
-    ids=["negative", "negative-1d", "nan", "infinity", "duplicate"],
+    ids=[
+        "negative",
+        "negative-1d",
+        "nan",
+        "infinity",
+        "duplicate",
+        "fraction",
+        "bool",
+        "string",
+        "empty",
+        "above-max-order",
+    ],
 )
 def test_bad_coefficient_files_are_rejected(tmp_path, capsys, lines, message):
     path = tmp_path / "coefficients.jsonl"

@@ -19,7 +19,7 @@ from opaa.core import (
 )
 from opaa.errors import CapacityError, DegenerateTargetError, NumericalDomainError
 from opaa.hermite import build_table, eval_psi
-from opaa.multiindex import enumerate_shell
+from opaa.multiindex import enumerate_shell, shell_count
 from opaa.quadrature import TensorGrid, eigenvector_weights, gauss_hermite
 
 
@@ -266,7 +266,7 @@ def test_aliased_degrees_are_never_summed():
 
 def _unit_density():
     return build_density(
-        CoefficientSet(dim=1, quad_order=None, shells=[{(0,): 1.0}], shell_energy=[1.0])
+        CoefficientSet.from_pairs(dim=1, quad_order=None, pairs=[((0,), 1.0)])
     )
 
 
@@ -301,6 +301,10 @@ def _unit_density():
             lambda: opaa.gmm_sample_dataset(1, 1.0, 1.0, True, seed=0),
             id="gmm_sample_dataset-n",
         ),
+        pytest.param(lambda: enumerate_shell(True, 2), id="enumerate_shell-dim"),
+        pytest.param(lambda: enumerate_shell(2, True), id="enumerate_shell-degree"),
+        pytest.param(lambda: shell_count(True, 2), id="shell_count-dim"),
+        pytest.param(lambda: shell_count(2, True), id="shell_count-degree"),
     ],
 )
 def test_bool_is_not_an_integer(call):
@@ -359,11 +363,10 @@ def test_affine_invariance_of_evidence(scale, shift):
 
 
 def test_coefficient_set_queries():
-    coeffs = CoefficientSet(
+    coeffs = CoefficientSet.from_pairs(
         dim=2,
         quad_order=4,
-        shells=[{(0, 0): 1.0}, {(1, 0): 0.5, (0, 1): -0.5}],
-        shell_energy=[1.0, 0.5],
+        pairs=[((0, 0), 1.0), ((1, 0), 0.5), ((0, 1), -0.5)],
     )
     assert coeffs.max_degree == 1
     assert coeffs.coefficient((0, 1)) == -0.5
@@ -376,11 +379,77 @@ def test_coefficient_set_queries():
     )
 
 
+def test_coefficient_lookup_outside_the_set():
+    coeffs = CoefficientSet.from_pairs(
+        dim=2, quad_order=None, pairs=[((0, 0), 1.0), ((1, 0), 0.5), ((0, 2), 0.25)]
+    )
+    assert coeffs.coefficient((0, 2)) == 0.25
+    # negative entries must not wrap around to the last row or column
+    for tau in ((-1, 0), (2, -1), (-1, 3), (1, 1), (0, 3), (9, 9)):
+        assert coeffs.coefficient(tau) == 0.0
+    assert CoefficientSet.from_pairs(1, None, []).coefficient((0,)) == 0.0
+
+
+def test_coefficient_set_arrays():
+    coeffs = CoefficientSet.from_pairs(
+        dim=2, quad_order=None, pairs=[((1, 0), 0.5), ((0, 0), 1.0)]
+    )
+    assert coeffs.taus.tolist() == [[0, 0], [1, 0]]
+    assert coeffs.values.tolist() == [1.0, 0.5]
+    with pytest.raises(ValueError):
+        coeffs.values[0] = 2.0
+    with pytest.raises(ValueError):
+        coeffs.taus[0, 0] = 1
+    with pytest.raises(TypeError):
+        coeffs.shells[0][(0, 0)] = 2.0
+    # the constructor takes arrays already in shell order, and copies them
+    taus = np.array([[0, 0], [0, 1]])
+    values = np.array([1.0, 0.5])
+    coeffs = CoefficientSet(2, None, taus, values)
+    values[0] = 3.0
+    assert coeffs.values[0] == 1.0
+    for bad_taus, bad_values in (
+        ([[0, 1], [0, 0]], [0.5, 1.0]),
+        ([[0, -1]], [1.0]),
+        ([[0, 0, 0]], [1.0]),
+        ([[0, 0]], [1.0, 2.0]),
+    ):
+        with pytest.raises(ValueError):
+            CoefficientSet(2, None, np.array(bad_taus), np.array(bad_values))
+    with pytest.raises(ValueError):
+        CoefficientSet.from_pairs(2, None, [((0, 0, 0), 1.0)])
+
+
+@pytest.mark.parametrize(
+    "dim,size,degree",
+    [
+        (1, 1, 0),
+        (3, 1, 0),
+        (1, 21, 20),
+        (2, 5, 3),
+        (3, 4, 9),
+        (2, 61, 60),
+        (4, 13, 12),
+        (10, 5, 4),
+    ],
+)
+def test_shell_layout_matches_enumerate_shell(dim, size, degree):
+    box = np.random.default_rng(dim * 1000 + size).normal(size=(size,) * dim)
+    coeffs = opaa.core._shells(box, None, degree)
+    shells = [
+        [tau for tau in enumerate_shell(dim, d) if max(tau) < size]
+        for d in range(degree + 1)
+    ]
+    assert list(coeffs.items()) == [(tau, box[tau]) for shell in shells for tau in shell]
+    assert coeffs.max_degree == degree
+    for shell, energy in zip(shells, coeffs.shell_energy):
+        vec = np.array([box[tau] for tau in shell])
+        assert energy == float(np.dot(vec, vec))
+
+
 def test_density_from_single_coefficient_is_standard_gaussian():
     for c in (1.0, 3.0):
-        coeffs = CoefficientSet(
-            dim=2, quad_order=None, shells=[{(0, 0): c}], shell_energy=[c * c]
-        )
+        coeffs = CoefficientSet.from_pairs(dim=2, quad_order=None, pairs=[((0, 0), c)])
         density = build_density(coeffs)
         pts = np.array([[0.0, 0.0], [1.0, -0.5], [2.0, 2.0]])
         expected = np.exp(-np.sum(pts**2, axis=1)) / math.pi
@@ -396,9 +465,7 @@ def test_density_matches_planted_closed_form(planted_1d):
 
 
 def test_density_single_point_convention():
-    coeffs = CoefficientSet(
-        dim=2, quad_order=None, shells=[{(0, 0): 1.0}], shell_energy=[1.0]
-    )
+    coeffs = CoefficientSet.from_pairs(dim=2, quad_order=None, pairs=[((0, 0), 1.0)])
     density = build_density(coeffs)
     value = density(np.array([0.3, -0.2]))
     assert isinstance(value, float)
@@ -433,11 +500,12 @@ def mass_by_nodes(density, quad_order):
 def test_density_mass_matches_node_sum(dim):
     rng = np.random.default_rng(dim)
     degree = 5
-    coeffs = CoefficientSet(dim=dim, quad_order=None)
-    for d in range(degree + 1):
-        shell = {tau: float(rng.normal()) * 0.6**d for tau in enumerate_shell(dim, d)}
-        coeffs.shells.append(shell)
-        coeffs.shell_energy.append(sum(a * a for a in shell.values()))
+    pairs = [
+        (tau, float(rng.normal()) * 0.6**d)
+        for d in range(degree + 1)
+        for tau in enumerate_shell(dim, d)
+    ]
+    coeffs = CoefficientSet.from_pairs(dim=dim, quad_order=None, pairs=pairs)
     density = build_density(coeffs)
     # the default order and a raised one integrate exactly; a lowered one
     # does not, so only it tells the off-diagonal Gram entries apart
@@ -448,9 +516,7 @@ def test_density_mass_matches_node_sum(dim):
 
 
 def test_density_mass_capacity_guard():
-    coeffs = CoefficientSet(
-        dim=4, quad_order=None, shells=[{(0, 0, 0, 0): 1.0}], shell_energy=[1.0]
-    )
+    coeffs = CoefficientSet.from_pairs(dim=4, quad_order=None, pairs=[((0, 0, 0, 0), 1.0)])
     density = build_density(coeffs)
     with pytest.raises(CapacityError):
         density.mass(quad_order=100)
@@ -458,9 +524,8 @@ def test_density_mass_capacity_guard():
 
 def test_density_box_capacity_guard(monkeypatch):
     monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 8)
-    coeffs = CoefficientSet(
-        dim=2, quad_order=None, shells=[{(0, 0): 1.0}, {}, {(2, 0): 0.1}],
-        shell_energy=[1.0, 0.0, 0.01],
+    coeffs = CoefficientSet.from_pairs(
+        dim=2, quad_order=None, pairs=[((0, 0), 1.0), ((2, 0), 0.1)]
     )
     with pytest.raises(CapacityError):
         build_density(coeffs)(np.zeros(2))
@@ -468,11 +533,9 @@ def test_density_box_capacity_guard(monkeypatch):
 
 def test_build_density_rejects_degenerate_sets():
     with pytest.raises(ValueError):
-        build_density(CoefficientSet(dim=1, quad_order=None))
+        build_density(CoefficientSet.from_pairs(dim=1, quad_order=None, pairs=[]))
     with pytest.raises(ValueError):
-        build_density(
-            CoefficientSet(dim=1, quad_order=None, shells=[{(0,): 0.0}], shell_energy=[0.0])
-        )
+        build_density(CoefficientSet.from_pairs(dim=1, quad_order=None, pairs=[((0,), 0.0)]))
 
 
 def test_lifted_weights_definition():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from opaa.errors import CapacityError
@@ -59,6 +60,13 @@ def test_argument_validation():
         enumerate_shell(2, -1)
     with pytest.raises(ValueError):
         shell_count(0, 0)
+
+
+def test_numpy_integers_give_plain_ints():
+    shell = enumerate_shell(np.int64(2), np.int64(3))
+    assert shell == enumerate_shell(2, 3)
+    assert all(type(v) is int for tau in shell for v in tau)
+    assert type(shell_count(np.int32(3), np.int64(2))) is int
 
 
 def test_shell_count_overflow_guard():
