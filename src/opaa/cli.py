@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import AffineMap, CoefficientSet, build_density, run_opaa
 from .models import GmmJointDensity, from_config, load_config
-from .oracle import BoxSpec, gmm_box_requirement, integrate_box_refined
+from .oracle import BoxSpec, check_gmm_box, integrate_box_refined
 from .quadrature import MAX_ORDER, gauss_hermite, weight_multiset_stats
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 COEFFICIENTS_NAME = "coefficients.jsonl"
 SUMMARY_NAME = "summary.json"
 _JSON_INTEGER = frozenset({int})
+_JSON_NUMBER = frozenset({int, float})
 
 
 def _g17(value):
@@ -76,8 +77,12 @@ def load_coefficients(path):
                 entry = json.loads(line)
                 tau = tuple(entry["tau"])
                 a = float(entry["a"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad coefficient line: {exc}") from exc
+            if type(entry["a"]) not in _JSON_NUMBER:
+                raise ValueError(
+                    f"{path}:{lineno}: coefficient is not a JSON number: {entry['a']!r}"
+                )
             # a JSON integer parses to exactly int (true and false to bool)
             if not tau or not _JSON_INTEGER.issuperset(map(type, tau)):
                 raise ValueError(
@@ -246,13 +251,7 @@ def _cmd_oracle_evidence(args):
     if box.dim != target.dim:
         raise ValueError(f"box dimension {box.dim} != model dimension {target.dim}")
     if isinstance(target, GmmJointDensity):
-        lo_req, hi_req = gmm_box_requirement(target.model)
-        for lo, hi in box.intervals:
-            if lo > lo_req or hi < hi_req:
-                raise ValueError(
-                    f"box axis ({lo}, {hi}) does not cover the required "
-                    f"({lo_req}, {hi_req})"
-                )
+        check_gmm_box(target.model, box)
 
     def integrand(pts):
         return np.exp(np.asarray(target.log_density_batch(pts), dtype=float))

@@ -34,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import hermite
-from .errors import CapacityError, DegenerateTargetError, NumericalDomainError, is_int
+from .errors import CapacityError, DegenerateTargetError, NumericalDomainError, as_int, is_int
 from .quadrature import TensorGrid, gauss_hermite
 
 __all__ = [
@@ -195,9 +195,13 @@ class CoefficientSet:
         """Set from (tau, coefficient) pairs in any order.
 
         The pairs are sorted stably by total degree, so each shell keeps
-        the order in which its pairs were given.
+        the order in which its pairs were given. A repeated tau is refused:
+        its coefficients would count twice in the energy but once in the
+        reconstruction.
         """
         pairs = list(pairs)
+        if len({tuple(tau) for tau, _ in pairs}) != len(pairs):
+            raise ValueError("repeated multi-index in coefficient pairs")
         taus = np.array([tau for tau, _ in pairs], dtype=np.intp).reshape(len(pairs), dim)
         values = np.array([a for _, a in pairs], dtype=float)
         order = np.argsort(taus.sum(axis=1), kind="stable")
@@ -222,7 +226,7 @@ class CoefficientSet:
 
     def coefficient(self, tau):
         """Coefficient at the multi-index tau (0.0 if outside every shell)."""
-        tau = tuple(int(v) for v in tau)
+        tau = tuple(as_int(v, "multi-index entry", -np.inf) for v in tau)
         if len(tau) != self.dim:
             raise ValueError(f"multi-index must have {self.dim} entries, got {tau}")
         degree = sum(tau)
@@ -296,8 +300,8 @@ def coefficient_naive(target, grid, table, tau):
     for targets whose lifted form is a polynomial of per-axis degree
     <= 2*order - 1.
     """
-    tau = tuple(int(v) for v in tau)
-    if len(tau) != grid.dim or any(v < 0 for v in tau):
+    tau = tuple(as_int(v, "multi-index entry", 0) for v in tau)
+    if len(tau) != grid.dim:
         raise ValueError(f"invalid multi-index {tau} for dimension {grid.dim}")
     _check_target(target, grid)
     _check_table(grid, table, max(tau))
@@ -322,7 +326,7 @@ def _box_extent(grid, max_degree):
     dim * (order - 1).
     """
     top = grid.rule.order - 1
-    degree = min(int(max_degree), grid.dim * top)
+    degree = min(max_degree, grid.dim * top)
     return degree, min(degree, top) + 1
 
 
@@ -395,6 +399,14 @@ def _shells(box, quad_order, degree):
     return CoefficientSet(box.ndim, quad_order, taus, box[tuple(taus.T)])
 
 
+def _solve(target, grid, table, max_degree, workers):
+    """Every coefficient shell up to max_degree, clamped to the aliasing box."""
+    degree, size = _box_extent(grid, max_degree)
+    _check_table(grid, table, size - 1)
+    box = _project(target, grid, table, size, workers)
+    return _shells(box, grid.rule.order, degree)
+
+
 def coefficients_contracted(target, grid, table, max_degree):
     """All coefficients with total degree <= max_degree by axis contraction.
 
@@ -404,24 +416,19 @@ def coefficients_contracted(target, grid, table, max_degree):
     before evaluating the target, when the box has more than
     TENSOR_VALUE_LIMIT entries.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = as_int(max_degree, "max_degree", 0)
     _check_target(target, grid)
-    degree, size = _box_extent(grid, max_degree)
-    _check_table(grid, table, size - 1)
-    box = _project(target, grid, table, size, workers=1)
-    return _shells(box, grid.rule.order, degree)
+    return _solve(target, grid, table, max_degree, workers=1)
 
 
 def _resolve_workers(workers):
     if workers is None:
         workers = os.cpu_count() or 1
-    if not is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    workers = as_int(workers, "workers", 1)
     cap = os.environ.get(WORKER_ENV_VAR)
     if cap:
-        workers = min(int(workers), max(1, int(cap)))
-    return int(workers)
+        workers = min(workers, max(1, int(cap)))
+    return workers
 
 
 def run_opaa(
@@ -453,7 +460,7 @@ def run_opaa(
     quad_order : int
         1-D Gauss-Hermite order, 1..MAX_ORDER.
     tol : float
-        Relative shell-energy tolerance, > 0.
+        Relative shell-energy tolerance, finite and > 0.
     max_degree : int
         Largest total degree to compute, >= 0.
     precondition : AffineMap, optional
@@ -474,20 +481,16 @@ def run_opaa(
     CapacityError
         If the coefficient box exceeds TENSOR_VALUE_LIMIT entries.
     """
-    if not ((is_int(tol) or isinstance(tol, float)) and tol > 0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not is_int(max_degree) or max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree!r}")
+    if not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    max_degree = as_int(max_degree, "max_degree", 0)
     if precondition is not None:
         target = precondition.pull_back(target)
-    if target.dim < 1:
-        raise ValueError(f"target dimension must be >= 1, got {target.dim}")
     workers = _resolve_workers(workers)
     rule = gauss_hermite(quad_order)
     grid = TensorGrid(rule, target.dim)
-    degree, size = _box_extent(grid, max_degree)
-    table = hermite.build_table(size - 1, rule.nodes)
-    coeffs = _shells(_project(target, grid, table, size, workers), rule.order, degree)
+    table = hermite.build_table(min(max_degree, rule.order - 1), rule.nodes)
+    coeffs = _solve(target, grid, table, max_degree, workers)
     converged = False
     quiet_shells = 0
     for d, energy in enumerate(coeffs.shell_energy):

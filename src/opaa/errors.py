@@ -16,6 +16,19 @@ def is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def as_int(value, name, minimum):
+    """``value`` as a plain int, or ValueError unless it is an integer >= minimum.
+
+    The one check for every integer argument: ``2.7``, ``True`` and ``"2"``
+    are refused rather than cast.
+    """
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 class CapacityError(RuntimeError):
     """A requested computation exceeds an enforced size or overflow cap."""
 

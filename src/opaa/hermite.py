@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import as_int
+
 __all__ = [
     "HermiteTable",
     "build_table",
@@ -42,8 +44,7 @@ def _recurrence(points, max_degree, seed):
 
 
 def _eval(n, x, gaussian_seed):
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = as_int(n, "degree", 0)
     pts = np.asarray(x, dtype=float)
     seed = _H0 * np.exp(-0.5 * pts**2) if gaussian_seed else np.full_like(pts, _H0)
     scalar = pts.ndim == 0
@@ -93,43 +94,28 @@ class HermiteTable:
     values: np.ndarray
 
 
-def _freeze(table_points, rows, max_degree):
-    table_points.setflags(write=False)
-    rows.setflags(write=False)
-    return HermiteTable(max_degree=max_degree, points=table_points, values=rows)
-
-
 def build_table(max_degree, points):
     """Build a HermiteTable of h_0..h_max_degree at the given points."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = as_int(max_degree, "max_degree", 0)
     pts = np.asarray(points, dtype=float).reshape(-1).copy()
     if pts.size == 0:
         raise ValueError("points must be non-empty")
     rows = _recurrence(pts, max_degree, np.full_like(pts, _H0))
-    return _freeze(pts, rows, max_degree)
+    pts.setflags(write=False)
+    rows.setflags(write=False)
+    return HermiteTable(max_degree=max_degree, points=pts, values=rows)
 
 
 def extend_table(table, new_max_degree):
-    """Extend a table to a higher degree, reusing every existing row.
+    """The table grown to new_max_degree on the same points.
 
-    Each added degree needs only the two previous rows of the recurrence.
-    Returns ``table`` unchanged when it already covers ``new_max_degree``.
+    The recurrence computes each row from the two before it, so the rows of
+    ``table`` come out bit-identical. Returns ``table`` unchanged when it
+    already covers ``new_max_degree``.
     """
     if new_max_degree <= table.max_degree:
         return table
-    old = table.max_degree
-    pts = table.points
-    rows = np.empty((new_max_degree + 1, pts.size))
-    rows[: old + 1] = table.values
-    if old == 0 and new_max_degree >= 1:
-        rows[1] = np.sqrt(2.0) * pts * rows[0]
-        old = 1
-    for n in range(old, new_max_degree):
-        rows[n + 1] = pts * np.sqrt(2.0 / (n + 1)) * rows[n] - np.sqrt(
-            n / (n + 1.0)
-        ) * rows[n - 1]
-    return _freeze(pts.copy(), rows, new_max_degree)
+    return build_table(new_max_degree, table.points)
 
 
 def psi_table(max_degree, points):
@@ -138,8 +124,7 @@ def psi_table(max_degree, points):
     The Gaussian-seeded sibling of :func:`build_table`, used wherever
     densities are reconstructed at arbitrary (possibly large) coordinates.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = as_int(max_degree, "max_degree", 0)
     pts = np.asarray(points, dtype=float).reshape(-1)
     if pts.size == 0:
         raise ValueError("points must be non-empty")

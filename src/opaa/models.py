@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hermite
 from .core import TargetDensity
-from .errors import is_int
+from .errors import as_int
 
 __all__ = [
     "GaussianIdentity",
@@ -43,9 +43,7 @@ class GaussianIdentity(TargetDensity):
     """
 
     def __init__(self, dim):
-        if not is_int(dim) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        self.dim = int(dim)
+        self.dim = as_int(dim, "dim", 1)
 
     def log_density(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -68,13 +66,11 @@ class PlantedDensity(TargetDensity):
     """
 
     def __init__(self, dim, coeffs):
-        if not is_int(dim) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        self.dim = int(dim)
+        self.dim = as_int(dim, "dim", 1)
         cleaned = {}
         for tau, c in coeffs.items():
-            tau = tuple(int(v) for v in tau)
-            if len(tau) != self.dim or any(v < 0 for v in tau):
+            tau = tuple(as_int(v, "multi-index entry", 0) for v in tau)
+            if len(tau) != self.dim:
                 raise ValueError(f"invalid multi-index {tau} for dimension {dim}")
             cleaned[tau] = float(c)
         if not cleaned:
@@ -113,7 +109,8 @@ class PlantedDensity(TargetDensity):
         """
         if points_per_axis is None:
             points_per_axis = 10_000 if self.dim == 1 else 512
-        axis = np.linspace(-half_range, half_range, int(points_per_axis))
+        points_per_axis = as_int(points_per_axis, "points_per_axis", 1)
+        axis = np.linspace(-half_range, half_range, points_per_axis)
         if self.dim == 1:
             return float(np.min(self.bracket(axis[:, None])))
         grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
@@ -136,8 +133,7 @@ class GmmModel:
     observations: np.ndarray
 
     def __post_init__(self):
-        if not is_int(self.clusters) or self.clusters < 1:
-            raise ValueError(f"clusters must be a positive integer, got {self.clusters!r}")
+        object.__setattr__(self, "clusters", as_int(self.clusters, "clusters", 1))
         if not self.prior_sigma > 0:
             raise ValueError(f"prior_sigma must be > 0, got {self.prior_sigma!r}")
         if not self.obs_sigma > 0:
@@ -146,7 +142,6 @@ class GmmModel:
         if not np.all(np.isfinite(obs)):
             raise ValueError("observations must be finite")
         obs.setflags(write=False)
-        object.__setattr__(self, "clusters", int(self.clusters))
         object.__setattr__(self, "prior_sigma", float(self.prior_sigma))
         object.__setattr__(self, "obs_sigma", float(self.obs_sigma))
         object.__setattr__(self, "observations", obs)
@@ -198,15 +193,15 @@ def gmm_sample_dataset(clusters, prior_sigma, obs_sigma, n, seed):
 
     Deterministic in ``seed``. Returns (means, observations).
     """
-    if not is_int(n) or n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
+    clusters = as_int(clusters, "clusters", 1)
+    n = as_int(n, "n", 0)
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, prior_sigma, size=int(clusters))
-    picks = rng.integers(0, clusters, size=int(n))
+    means = rng.normal(0.0, prior_sigma, size=clusters)
+    picks = rng.integers(0, clusters, size=n)
     observations = rng.normal(means[picks], obs_sigma)
     # validates the parameters as a side effect
     GmmModel(
-        clusters=int(clusters),
+        clusters=clusters,
         prior_sigma=prior_sigma,
         obs_sigma=obs_sigma,
         observations=observations,
@@ -231,29 +226,37 @@ def from_config(config):
         raise ValueError("model config must be a mapping with a 'type' key")
     kind = config["type"]
     if kind == "gaussian_identity":
-        return GaussianIdentity(dim=_require(config, "dim", int))
+        return GaussianIdentity(dim=_require(config, "dim"))
     if kind == "planted":
         entries = config.get("coeffs")
         if not isinstance(entries, list) or not entries:
             raise ValueError("planted config needs a non-empty 'coeffs' list")
         coeffs = {}
         for entry in entries:
-            if not isinstance(entry, dict) or "tau" not in entry or "c" not in entry:
-                raise ValueError(f"planted coeff entries need 'tau' and 'c': {entry!r}")
-            coeffs[tuple(entry["tau"])] = float(entry["c"])
-        return PlantedDensity(dim=_require(config, "dim", int), coeffs=coeffs)
+            if not isinstance(entry, dict) or not isinstance(entry.get("tau"), list):
+                raise ValueError(f"planted coeff entries need a 'tau' list and a 'c': {entry!r}")
+            coeffs[tuple(entry["tau"])] = _number(entry, "c")
+        return PlantedDensity(dim=_require(config, "dim"), coeffs=coeffs)
     if kind == "gmm":
         model = GmmModel(
-            clusters=_require(config, "clusters", int),
-            prior_sigma=_require(config, "prior_sigma", float),
-            obs_sigma=_require(config, "obs_sigma", float),
+            clusters=_require(config, "clusters"),
+            prior_sigma=_number(config, "prior_sigma"),
+            obs_sigma=_number(config, "obs_sigma"),
             observations=config.get("observations", []),
         )
         return GmmJointDensity(model)
     raise ValueError(f"unknown model type {kind!r}")
 
 
-def _require(config, key, cast):
+def _require(config, key):
     if key not in config:
         raise ValueError(f"model config is missing required key {key!r}")
-    return cast(config[key])
+    return config[key]
+
+
+def _number(config, key):
+    """A required JSON number (not a string, bool or null) as a float."""
+    value = _require(config, key)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"model config {key!r} must be a number, got {value!r}")
+    return float(value)

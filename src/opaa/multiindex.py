@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapacityError, is_int
+from .errors import CapacityError, as_int
 
 __all__ = ["enumerate_shell", "shell_count"]
 
@@ -14,11 +14,7 @@ _MAX_COUNT = 2**63 - 1
 
 def _validate(dim, degree):
     """(dim, degree) as plain ints, so the tuples built from them are too."""
-    if not is_int(dim) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not is_int(degree) or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
-    return int(dim), int(degree)
+    return as_int(dim, "dim", 1), as_int(degree, "degree", 0)
 
 
 def enumerate_shell(dim, degree):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NumericalDomainError, OracleRefusedError
+from .errors import CapacityError, NumericalDomainError, OracleRefusedError, as_int
 
 __all__ = [
     "BoxSpec",
     "MAX_DIM",
     "REFINE_RTOL",
+    "check_gmm_box",
     "gmm_box_requirement",
     "gmm_evidence_direct",
     "integrate_box",
@@ -56,11 +57,10 @@ class BoxSpec:
         for lo, hi in intervals:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid interval ({lo}, {hi})")
-        m = int(self.points_per_axis)
-        if m < 3:
-            raise ValueError(f"points_per_axis must be >= 3, got {self.points_per_axis!r}")
         object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "points_per_axis", m)
+        object.__setattr__(
+            self, "points_per_axis", as_int(self.points_per_axis, "points_per_axis", 3)
+        )
 
     @property
     def dim(self):
@@ -177,17 +177,12 @@ def gmm_box_requirement(model):
     return (-8.0 * model.prior_sigma, 8.0 * model.prior_sigma)
 
 
-def gmm_evidence_direct(model, box):
-    """Evidence of a GMM study by direct Simpson integration of the joint.
+def check_gmm_box(model, box):
+    """Raise ValueError unless the box fits the model's evidence integral.
 
-    Limited to at most two clusters (the box dimension equals the cluster
-    count, and the tensor grid cost explodes beyond that). The box must
-    cover :func:`gmm_box_requirement` on every axis.
+    The box needs one axis per cluster, each covering
+    :func:`gmm_box_requirement`.
     """
-    if model.clusters > 2:
-        raise ValueError(
-            f"direct integration supports at most 2 clusters, got {model.clusters}"
-        )
     if box.dim != model.clusters:
         raise ValueError(
             f"box dimension {box.dim} != cluster count {model.clusters}"
@@ -199,5 +194,19 @@ def gmm_evidence_direct(model, box):
                 f"box axis ({lo}, {hi}) does not cover the required "
                 f"({lo_req}, {hi_req})"
             )
+
+
+def gmm_evidence_direct(model, box):
+    """Evidence of a GMM study by direct Simpson integration of the joint.
+
+    Limited to at most two clusters (the box dimension equals the cluster
+    count, and the tensor grid cost explodes beyond that). The box must
+    pass :func:`check_gmm_box`.
+    """
+    if model.clusters > 2:
+        raise ValueError(
+            f"direct integration supports at most 2 clusters, got {model.clusters}"
+        )
+    check_gmm_box(model, box)
     value, _ = integrate_box_refined(lambda pts: _gmm_joint_values(model, pts), box)
     return value

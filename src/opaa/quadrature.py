@@ -8,7 +8,7 @@ built once per order and shared. Each rule also carries the sqrt(2)-scaled
 variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates against the
 half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
 
-Tensor grids over [1..Gamma]^N are never materialized: grid points are
+Tensor grids over [0..Gamma-1]^N are never materialized: grid points are
 decoded on demand from linear indices in odometer order (last coordinate
 fastest), and the weight multiset statistics are computed combinatorially.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from .errors import NumericalDomainError, is_int
+from .errors import CapacityError, NumericalDomainError, as_int
 
 __all__ = [
     "MAX_ORDER",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 256
+# weight_multiset_stats lists one histogram entry per distinct weight
+_MAX_DISTINCT_WEIGHTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,10 @@ class QuadratureRule:
 
 
 def _validated_order(order):
-    if not is_int(order):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
+    order = as_int(order, "order", 1)
+    if order > MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    return int(order)
+    return order
 
 
 def _nodes(order):
@@ -148,44 +149,25 @@ def integrate_1d(f, rule):
 class TensorGrid:
     """Lazy tensor product of a 1-D rule over ``dim`` coordinates.
 
-    Grid indices are 1-based tuples j in [1..order]^dim; linear indices run
-    in odometer order with the last coordinate fastest. Nothing of size
-    order^dim is ever allocated.
+    Grid indices are 0-based: ``decode`` turns linear indices, in odometer
+    order with the last coordinate fastest, into rows of per-axis node
+    indices j in [0..order-1]^dim, which index the rule's arrays directly.
+    Nothing of size order^dim is ever allocated.
     """
 
     def __init__(self, rule, dim):
-        if not is_int(dim) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.rule = rule
-        self.dim = int(dim)
+        self.dim = as_int(dim, "dim", 1)
 
     @property
     def total_count(self):
         """Number of grid points, order**dim, as an exact int."""
         return self.rule.order ** self.dim
 
-    def _validated_index(self, j):
-        idx = tuple(int(v) for v in j)
-        if len(idx) != self.dim:
-            raise ValueError(f"grid index must have {self.dim} entries, got {idx}")
-        for v in idx:
-            if not 1 <= v <= self.rule.order:
-                raise ValueError(
-                    f"grid index entries must be in [1, {self.rule.order}], got {idx}"
-                )
-        return np.asarray(idx, dtype=np.int64) - 1
-
-    def node(self, j):
-        """Scaled-node coordinates of the 1-based grid index j."""
-        return self.rule.scaled_nodes[self._validated_index(j)].copy()
-
-    def weight(self, j):
-        """Product of scaled 1-D weights at the 1-based grid index j."""
-        return float(np.prod(self.rule.scaled_weights[self._validated_index(j)]))
-
     def decode(self, start, stop):
         """0-based coordinate array for linear indices [start, stop)."""
-        if not 0 <= start <= stop <= self.total_count:
+        start, stop = as_int(start, "start", 0), as_int(stop, "stop", 0)
+        if not start <= stop <= self.total_count:
             raise ValueError(
                 f"linear range [{start}, {stop}) outside [0, {self.total_count})"
             )
@@ -199,8 +181,7 @@ class TensorGrid:
         consume it, so reductions combined in ascending range order are
         reproducible for any worker count.
         """
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        block_size = as_int(block_size, "block_size", 1)
         total = self.total_count
         return [
             (s, min(s + block_size, total)) for s in range(0, total, block_size)
@@ -215,13 +196,19 @@ def weight_multiset_stats(order, dim):
     distinct values among order**dim grid points. Returns
     ``(distinct_count, total_count, histogram)`` where histogram lists
     ``(weight, multiplicity)`` per multiset, multiplicities exact ints
-    summing to total_count. Never enumerates the grid itself.
+    summing to total_count. Never enumerates the grid itself; raises
+    CapacityError, before any enumeration, when there are more than 10^6
+    distinct weights.
     """
-    rule = gauss_hermite(order)
-    if not is_int(dim) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    order = _validated_order(order)
+    dim = as_int(dim, "dim", 1)
     distinct_count = math.comb(order + dim - 1, dim)
+    if distinct_count > _MAX_DISTINCT_WEIGHTS:
+        raise CapacityError(
+            f"order {order}, dim {dim} has {distinct_count} distinct weights, "
+            f"above the {_MAX_DISTINCT_WEIGHTS} cap"
+        )
+    rule = _build_rule(order)
     total_count = order**dim
     dim_factorial = math.factorial(dim)
     histogram = []

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ GMM_CONJUGATE = {
     "observations": [0.0],
 }
 NOT_INTEGERS = "multi-index is not a non-empty list of integers: "
+NOT_A_NUMBER = "coefficient is not a JSON number: "
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -148,6 +150,27 @@ def test_approximate_missing_and_malformed_config(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"type": "gaussian_identity", "dim": None},
+        {**GMM_CONJUGATE, "prior_sigma": None},
+        {**GMM_CONJUGATE, "obs_sigma": "1.0"},
+        {**PLANTED_1D, "coeffs": [{"tau": [0], "c": None}]},
+        {**PLANTED_1D, "coeffs": [{"tau": 5, "c": 1.0}]},
+    ],
+    ids=["dim-null", "prior_sigma-null", "obs_sigma-string", "c-null", "tau-int"],
+)
+def test_malformed_config_fails_with_one_line(tmp_path, capsys, config):
+    # each used to escape main as a TypeError traceback, except the string
+    # sigma, which float() accepted
+    model = write_config(tmp_path, config)
+    args = ["approximate", "--model", model, "--order", "4", "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def run_planted(tmp_path):
@@ -365,6 +388,11 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         # no rule resolves per-axis degree 256; at 10**9 the shells alone
         # would fill memory
         (['{"tau": [0, 0], "a": 1.0}', '{"tau": [1, 256], "a": 0.5}'], "multi-index entry above 255"),
+        # float() used to turn these into 1.5 and 1.0
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": "1.5"}'], NOT_A_NUMBER + "'1.5'"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": true}'], NOT_A_NUMBER + "True"),
+        # float() of a 400-digit integer raised an uncaught OverflowError
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 1%s}' % ("0" * 400)], "bad coefficient line"),
     ],
     ids=[
         "negative",
@@ -377,6 +405,9 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         "string",
         "empty",
         "above-max-order",
+        "string-value",
+        "bool-value",
+        "huge-integer-value",
     ],
 )
 def test_bad_coefficient_files_are_rejected(tmp_path, capsys, lines, message):
@@ -449,6 +480,17 @@ def test_weights_stats(tmp_path):
     assert payload["total_count"] == 9
     assert payload["distinct_count"] == len(payload["histogram"])
     assert sum(m for _, m in payload["histogram"]) == 9
+
+
+def test_weights_stats_refuses_huge_histograms(capsys):
+    # C(265, 10) ~ 4e17 multisets: enumerating them never finished
+    start = time.perf_counter()
+    assert main(["weights-stats", "--order", "256", "--dim", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "distinct weights" in captured.err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_evidence(tmp_path, capsys):

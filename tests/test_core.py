@@ -18,7 +18,7 @@ from opaa.core import (
     run_opaa,
 )
 from opaa.errors import CapacityError, DegenerateTargetError, NumericalDomainError
-from opaa.hermite import build_table, eval_psi
+from opaa.hermite import build_table, eval_psi, psi_table
 from opaa.multiindex import enumerate_shell, shell_count
 from opaa.quadrature import TensorGrid, eigenvector_weights, gauss_hermite
 
@@ -203,6 +203,10 @@ def test_run_rejects_bad_arguments(planted_1d):
         run_opaa(planted_1d, 6, max_degree=-1)
     with pytest.raises(ValueError):
         run_opaa(planted_1d, 6, workers=0)
+    # an infinite tol used to stop at degree 1 and claim convergence
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            run_opaa(planted_1d, 6, tol=tol)
 
 
 def test_degenerate_target_raises():
@@ -270,46 +274,102 @@ def _unit_density():
     )
 
 
+def _config(**fields):
+    return opaa.from_config(fields)
+
+
+def _identity_grid_and_table():
+    return (opaa.GaussianIdentity(1),) + make_grid_and_table(4, 1, 3)
+
+
+# (id, call that passes its argument at one integer entry, a valid value there)
+INTEGER_ENTRIES = [
+    ("gauss_hermite-order", lambda v: gauss_hermite(v), 2),
+    ("eigenvector_weights-order", lambda v: eigenvector_weights(v), 2),
+    ("TensorGrid-dim", lambda v: TensorGrid(gauss_hermite(3), v), 2),
+    ("weight_stats-dim", lambda v: opaa.weight_multiset_stats(3, v), 2),
+    ("run_opaa-max_degree", lambda v: run_opaa(opaa.GaussianIdentity(1), 4, max_degree=v), 2),
+    ("run_opaa-workers", lambda v: run_opaa(opaa.GaussianIdentity(1), 4, workers=v), 2),
+    ("mass-quad_order", lambda v: _unit_density().mass(quad_order=v), 2),
+    ("GaussianIdentity-dim", lambda v: opaa.GaussianIdentity(v), 2),
+    ("Planted-dim", lambda v: opaa.PlantedDensity(v, {(0,): 1.0}), 1),
+    (
+        "GmmModel-clusters",
+        lambda v: opaa.GmmModel(clusters=v, prior_sigma=1.0, obs_sigma=1.0, observations=[]),
+        2,
+    ),
+    ("gmm_sample_dataset-n", lambda v: opaa.gmm_sample_dataset(1, 1.0, 1.0, v, seed=0), 2),
+    ("enumerate_shell-dim", lambda v: enumerate_shell(v, 2), 2),
+    ("enumerate_shell-degree", lambda v: enumerate_shell(2, v), 2),
+    ("shell_count-dim", lambda v: shell_count(v, 2), 2),
+    ("shell_count-degree", lambda v: shell_count(2, v), 2),
+    # each entry below used to cast with int() (2.7 ran as 2, "2" as 2) or
+    # had a bare "< 0" check that let True and 2.7 through
+    ("config-identity-dim", lambda v: _config(type="gaussian_identity", dim=v), 2),
+    (
+        "config-planted-dim",
+        lambda v: _config(type="planted", dim=v, coeffs=[{"tau": [0], "c": 1.0}]),
+        1,
+    ),
+    (
+        "config-planted-tau",
+        lambda v: _config(type="planted", dim=1, coeffs=[{"tau": [v], "c": 1.0}]),
+        2,
+    ),
+    (
+        "config-gmm-clusters",
+        lambda v: _config(type="gmm", clusters=v, prior_sigma=1.0, obs_sigma=1.0),
+        2,
+    ),
+    ("Planted-tau", lambda v: opaa.PlantedDensity(1, {(v,): 1.0}), 2),
+    (
+        "bracket_minimum-points",
+        lambda v: opaa.PlantedDensity(1, {(0,): 1.0}).bracket_minimum(1.0, v),
+        5,
+    ),
+    ("BoxSpec-points_per_axis", lambda v: opaa.BoxSpec(((0.0, 1.0),), v), 801),
+    (
+        "coefficient_naive-tau",
+        lambda v: coefficient_naive(*_identity_grid_and_table(), (v,)),
+        2,
+    ),
+    ("coefficient-tau", lambda v: _unit_density().coefficients.coefficient((v,)), 2),
+    (
+        "gmm_sample_dataset-clusters",
+        lambda v: opaa.gmm_sample_dataset(v, 1.0, 1.0, 3, seed=0),
+        2,
+    ),
+    (
+        "coefficients_contracted-max_degree",
+        lambda v: coefficients_contracted(*_identity_grid_and_table(), v),
+        2,
+    ),
+    ("decode-stop", lambda v: TensorGrid(gauss_hermite(3), 1).decode(0, v), 2),
+    ("block_ranges-size", lambda v: TensorGrid(gauss_hermite(3), 1).block_ranges(v), 2),
+    ("build_table-max_degree", lambda v: build_table(v, [0.0]), 2),
+    ("psi_table-max_degree", lambda v: psi_table(v, [0.0]), 2),
+    ("eval_psi-degree", lambda v: eval_psi(v, 0.0), 2),
+]
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        pytest.param(lambda: gauss_hermite(True), id="gauss_hermite-order"),
-        pytest.param(lambda: eigenvector_weights(True), id="eigenvector_weights-order"),
-        pytest.param(lambda: TensorGrid(gauss_hermite(3), True), id="TensorGrid-dim"),
-        pytest.param(lambda: opaa.weight_multiset_stats(3, True), id="weight_stats-dim"),
+    "call, value",
+    [pytest.param(call, True, id=name) for name, call, _ in INTEGER_ENTRIES]
+    + [
+        pytest.param(call, bad, id=f"{name}-{kind}")
+        for name, call, valid in INTEGER_ENTRIES
+        for kind, bad in (("float", valid + 0.7), ("str", str(valid)))
+    ]
+    + [
         pytest.param(
-            lambda: run_opaa(opaa.GaussianIdentity(1), 4, max_degree=True),
-            id="run_opaa-max_degree",
-        ),
-        pytest.param(
-            lambda: run_opaa(opaa.GaussianIdentity(1), 4, workers=True),
-            id="run_opaa-workers",
-        ),
-        pytest.param(
-            lambda: run_opaa(opaa.GaussianIdentity(1), 4, tol=True), id="run_opaa-tol"
-        ),
-        pytest.param(lambda: _unit_density().mass(quad_order=True), id="mass-quad_order"),
-        pytest.param(lambda: opaa.GaussianIdentity(True), id="GaussianIdentity-dim"),
-        pytest.param(lambda: opaa.PlantedDensity(True, {(0,): 1.0}), id="Planted-dim"),
-        pytest.param(
-            lambda: opaa.GmmModel(
-                clusters=True, prior_sigma=1.0, obs_sigma=1.0, observations=[]
-            ),
-            id="GmmModel-clusters",
-        ),
-        pytest.param(
-            lambda: opaa.gmm_sample_dataset(1, 1.0, 1.0, True, seed=0),
-            id="gmm_sample_dataset-n",
-        ),
-        pytest.param(lambda: enumerate_shell(True, 2), id="enumerate_shell-dim"),
-        pytest.param(lambda: enumerate_shell(2, True), id="enumerate_shell-degree"),
-        pytest.param(lambda: shell_count(True, 2), id="shell_count-dim"),
-        pytest.param(lambda: shell_count(2, True), id="shell_count-degree"),
+            lambda v: run_opaa(opaa.GaussianIdentity(1), 4, tol=v), True, id="run_opaa-tol"
+        )
     ],
 )
-def test_bool_is_not_an_integer(call):
+def test_bool_is_not_an_integer(call, value):
+    # True, a fraction and a digit string are all refused, never cast
     with pytest.raises(ValueError):
-        call()
+        call(value)
 
 
 def test_worker_env_cap(monkeypatch):
@@ -388,6 +448,15 @@ def test_coefficient_lookup_outside_the_set():
     for tau in ((-1, 0), (2, -1), (-1, 3), (1, 1), (0, 3), (9, 9)):
         assert coeffs.coefficient(tau) == 0.0
     assert CoefficientSet.from_pairs(1, None, []).coefficient((0,)) == 0.0
+
+
+def test_from_pairs_rejects_a_repeated_tau():
+    # the repeat used to count twice in total_energy (2.0) but once in the
+    # reconstruction box, so build_density(...).mass() read 0.5
+    with pytest.raises(ValueError, match="repeated multi-index"):
+        CoefficientSet.from_pairs(1, None, [((0,), 1.0), ((0,), 1.0)])
+    with pytest.raises(ValueError, match="repeated multi-index"):
+        CoefficientSet.from_pairs(2, None, [((1, 0), 1.0), ((0, 1), 1.0), ((1, 0), 0.5)])
 
 
 def test_coefficient_set_arrays():

@@ -1,12 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import numpy.polynomial.hermite as nph
 import pytest
 
 from opaa import quadrature
-from opaa.errors import NumericalDomainError
+from opaa.errors import CapacityError, NumericalDomainError
 from opaa.hermite import build_table
 from opaa.quadrature import (
     MAX_ORDER,
@@ -153,22 +154,18 @@ def test_integrate_rejects_non_finite_values():
 
 def test_grid_node_and_weight_lookup():
     grid = TensorGrid(gauss_hermite(2), 2)
-    node = grid.node((1, 1))
-    assert np.allclose(node, [-1.0, -1.0], atol=1e-14)
-    assert grid.weight((1, 1)) == pytest.approx(math.pi / 2, rel=1e-13)
+    (j,) = grid.decode(0, 1)
+    assert np.allclose(grid.rule.scaled_nodes[j], [-1.0, -1.0], atol=1e-14)
+    weight = np.prod(grid.rule.scaled_weights[j])
+    assert weight == pytest.approx(math.pi / 2, rel=1e-13)
     assert grid.total_count == 4
 
 
 def test_grid_weight_permutation_invariance():
     grid = TensorGrid(gauss_hermite(4), 2)
-    assert grid.weight((1, 3)) == grid.weight((3, 1))
-
-
-@pytest.mark.parametrize("index", [(0, 1), (1,), (1, 5), (1, 2, 3)])
-def test_grid_index_validation(index):
-    grid = TensorGrid(gauss_hermite(4), 2)
-    with pytest.raises(ValueError):
-        grid.node(index)
+    weights = np.prod(grid.rule.scaled_weights[grid.decode(0, 16)], axis=1)
+    # linear index 4 * a + b holds the node pair (a, b)
+    assert weights[4 * 0 + 2] == weights[4 * 2 + 0]
 
 
 def test_decode_is_odometer_order():
@@ -199,7 +196,7 @@ def test_block_ranges_partition_the_grid():
 def test_tensor_mass_small_grid():
     grid = TensorGrid(gauss_hermite(3), 2)
     total = sum(
-        grid.weight(j) for j in itertools.product((1, 2, 3), repeat=2)
+        float(np.prod(grid.rule.scaled_weights[j])) for j in grid.decode(0, 9)
     )
     assert total == pytest.approx(2 * math.pi, rel=1e-12)
 
@@ -220,6 +217,17 @@ def test_weight_stats_paper_scale():
     assert total == 9765625
     assert len(hist) == 1001
     assert sum(m for _, m in hist) == 9765625
+
+
+def test_weight_stats_refuses_huge_histograms():
+    # C(265, 10) ~ 4e17 multisets; the refusal comes before any of them
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="distinct weights"):
+        weight_multiset_stats(256, 10)
+    # 3**(10**7) alone takes seconds to compute, so it must not be
+    with pytest.raises(CapacityError):
+        weight_multiset_stats(3, 10**7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_weight_stats_single_node():
