@@ -16,9 +16,22 @@ Pair i uses seed ``first_seed + i``; the parent runs first in even pairs
 and second in odd ones. The record has the layout of ``BENCH_3.json``
 (``what``, ``command``, ``machine`` and every run's final JSON line under
 ``runs``) plus ``summary``: per workload and end-to-end metric, each side's
-median and quartiles over the pairs in which both runs were correct, and
-the number of those pairs in which each side reads better (ties count for
-neither). Uses the standard library only.
+median and quartiles over the pairs in which both runs were correct, the
+number of those pairs in which each side reads better (ties count for
+neither), the relative change of the medians, the parent's relative spread
+(q3 - q1) / median, and a verdict with the metric's ``bound`` read as a
+relative bound:
+
+- ``better``: the change wins at least nine tenths of the pairs and its
+  median is better by more than the parent's q3 - q1;
+- ``unresolved``: the parent's spread is wider than the bound and the
+  change's median reads worse (so not every change run reads better than
+  every parent run), and the pairs cannot tell a regression from noise;
+- ``worse``: the change's median reads worse by more than the bound;
+- ``within bound``: anything else.
+
+The verdicts are also printed, one line per workload and metric. Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -99,6 +113,31 @@ def run_once(tree, workload, seed, seconds):
     return result, env
 
 
+def relative(delta, base):
+    """delta / |base|, infinite for a nonzero delta on a zero base."""
+    if base:
+        return delta / abs(base)
+    return 0.0 if delta == 0 else math.copysign(math.inf, delta)
+
+
+def verdict(parent, change, sign, bound):
+    """better / unresolved / worse / within bound, as the module docstring says.
+
+    ``sign`` is 1 when lower values read better and -1 when higher do;
+    ``parent`` and ``change`` are the two sides' values, pair by pair.
+    """
+    p = quartiles(parent)
+    gain = sign * (p["median"] - statistics.median(change))
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    if wins >= 0.9 * len(parent) and gain > p["q3"] - p["q1"]:
+        return "better"
+    if relative(p["q3"] - p["q1"], p["median"]) > bound and gain < 0:
+        return "unresolved"
+    if relative(-gain, p["median"]) > bound:
+        return "worse"
+    return "within bound"
+
+
 def quartiles(values):
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -121,12 +160,16 @@ def summarize(runs, spec):
             name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
             values = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
             gains = [sign * (a - b) for a, b in zip(values["parent"], values["change"])]
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
             rows[name] = {
                 "better": metric["better"],
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
+                "parent": parent,
+                "change": change,
                 "change_wins": sum(g > 0 for g in gains),
                 "parent_wins": sum(g < 0 for g in gains),
+                "median_change": relative(change["median"] - parent["median"], parent["median"]),
+                "parent_spread": relative(parent["q3"] - parent["q1"], parent["median"]),
+                "verdict": verdict(values["parent"], values["change"], sign, metric["bound"]),
             }
         out[workload] = rows
     return out
@@ -170,6 +213,15 @@ def main(argv=None):
         "runs": runs,
     }
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
+    for workload, rows in record["summary"].items():
+        for name, row in rows.items():
+            if isinstance(row, dict):
+                print(
+                    f"{workload} {name}: {row['parent']['median']:.4g} -> "
+                    f"{row['change']['median']:.4g} ({row['median_change']:+.1%}), parent "
+                    f"spread {row['parent_spread']:.1%}, change wins "
+                    f"{row['change_wins']}/{rows['pairs_correct']}: {row['verdict']}"
+                )
     return 0 if all(r["correct"] for r in runs) else 1
 
 

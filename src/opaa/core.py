@@ -121,11 +121,13 @@ class AffineMap:
 
     def pull_back(self, target):
         """The target re-expressed in map coordinates, integral preserved."""
-        if target.dim != self.dim:
-            raise ValueError(
-                f"map dimension {self.dim} != target dimension {target.dim}"
-            )
+        _check_map(self, target)
         return _PulledBackTarget(target, self)
+
+
+def _check_map(amap, target):
+    if target.dim != amap.dim:
+        raise ValueError(f"map dimension {amap.dim} != target dimension {target.dim}")
 
 
 class _PulledBackTarget(TargetDensity):
@@ -258,13 +260,12 @@ def _lifted_weights(rule):
     return rule.weights * np.exp(0.5 * rule.nodes**2)
 
 
-def _sqrt_target_values(target, rule, idx):
-    """exp(log P / 2) at the raw-node grid points selected by idx."""
-    pts = rule.nodes[idx]
-    logp = np.asarray(target.log_density_batch(pts), dtype=float)
-    if logp.shape != (idx.shape[0],):
+def _sqrt_target_values(target, pts, log_jacobian=0.0):
+    """exp((log P + log_jacobian) / 2) at the (n, dim) points pts."""
+    logp = np.asarray(target.log_density_batch(pts), dtype=float) + log_jacobian
+    if logp.shape != (pts.shape[0],):
         raise ValueError(
-            f"log_density_batch returned shape {logp.shape}, expected ({idx.shape[0]},)"
+            f"log_density_batch returned shape {logp.shape}, expected ({pts.shape[0]},)"
         )
     with np.errstate(over="ignore"):
         vals = np.exp(0.5 * logp)
@@ -313,7 +314,7 @@ def coefficient_naive(target, grid, table, tau):
         weights = np.prod(lifted[idx], axis=1)
         basis = np.prod(table.values[rows, idx], axis=1)
         acc += float(
-            np.dot(weights * basis, _sqrt_target_values(target, grid.rule, idx))
+            np.dot(weights * basis, _sqrt_target_values(target, grid.rule.nodes[idx]))
         )
     return acc
 
@@ -330,34 +331,41 @@ def _box_extent(grid, max_degree):
     return degree, min(degree, top) + 1
 
 
-def _project(target, grid, table, size, workers):
-    """Coefficient box a[tau] for every tau in [0, size - 1]^dim.
-
-    Slabs are runs of whole leading-axis rows; each worker holds one slab of
-    sqrt-P values and one box-sized partial at a time.
-    """
-    dim, order = grid.dim, grid.rule.order
+def _zero_box(size, dim):
+    """A zero coefficient box of size^dim entries, refused above the cap."""
     if size**dim > TENSOR_VALUE_LIMIT:
         raise CapacityError(
             f"coefficient box has {size}^{dim} entries, above the "
-            f"{TENSOR_VALUE_LIMIT} cap; lower max_degree or quad_order"
+            f"{TENSOR_VALUE_LIMIT} cap"
         )
+    return np.zeros((size,) * dim)
+
+
+def _project(target, grid, table, size, workers, amap):
+    """Coefficient box a[tau] for every tau in [0, size - 1]^dim.
+
+    The target is evaluated at the mapped nodes scale * r + shift, with the
+    map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
+    worker holds one slab of sqrt-P values and one box-sized partial at a time.
+    """
+    dim, order = grid.dim, grid.rule.order
+    box = _zero_box(size, dim)
+    nodes = amap.scale[:, None] * grid.rule.nodes + amap.shift[:, None]
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
-    row = order ** (dim - 1)
-    step = max(1, BLOCK_SIZE // row)
+    step = max(1, BLOCK_SIZE // order ** (dim - 1))
     slabs = [(lo, min(lo + step, order)) for lo in range(0, order, step)]
 
     def slab_partial(slab):
         lo, hi = slab
-        values = _sqrt_target_values(target, grid.rule, grid.decode(lo * row, hi * row))
-        values = values.reshape((hi - lo,) + (order,) * (dim - 1))
+        axes = np.meshgrid(nodes[0, lo:hi], *nodes[1:], indexing="ij", copy=False)
+        pts = np.stack(axes, axis=-1).reshape(-1, dim)
+        values = _sqrt_target_values(target, pts, amap.log_jacobian).reshape(axes[0].shape)
         for _ in range(dim - 1):
             # consume the first full axis, append its degree axis at the end;
             # after dim - 1 rounds the trailing axes are in coordinate order
             values = np.tensordot(values, proj, axes=([1], [0]))
         return np.tensordot(proj[lo:hi], values, axes=([0], [0]))
 
-    box = np.zeros((size,) * dim)
     if workers > 1 and len(slabs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
             for partial in executor.map(slab_partial, slabs):
@@ -399,11 +407,11 @@ def _shells(box, quad_order, degree):
     return CoefficientSet(box.ndim, quad_order, taus, box[tuple(taus.T)])
 
 
-def _solve(target, grid, table, max_degree, workers):
+def _solve(target, grid, table, max_degree, workers, amap):
     """Every coefficient shell up to max_degree, clamped to the aliasing box."""
     degree, size = _box_extent(grid, max_degree)
     _check_table(grid, table, size - 1)
-    box = _project(target, grid, table, size, workers)
+    box = _project(target, grid, table, size, workers, amap)
     return _shells(box, grid.rule.order, degree)
 
 
@@ -418,7 +426,7 @@ def coefficients_contracted(target, grid, table, max_degree):
     """
     max_degree = as_int(max_degree, "max_degree", 0)
     _check_target(target, grid)
-    return _solve(target, grid, table, max_degree, workers=1)
+    return _solve(target, grid, table, max_degree, 1, AffineMap.identity(grid.dim))
 
 
 def _resolve_workers(workers):
@@ -464,8 +472,8 @@ def run_opaa(
     max_degree : int
         Largest total degree to compute, >= 0.
     precondition : AffineMap, optional
-        Change of variables applied to the target first; preserves the
-        evidence.
+        Change of variables theta = scale * r + shift, applied to the
+        per-axis quadrature nodes r; preserves the evidence.
     workers : int, optional
         Worker threads, one grid slab each at a time (default: available
         parallelism, capped by the OPAA_MAX_WORKERS environment variable).
@@ -484,27 +492,22 @@ def run_opaa(
     if not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     max_degree = as_int(max_degree, "max_degree", 0)
-    if precondition is not None:
-        target = precondition.pull_back(target)
     workers = _resolve_workers(workers)
     rule = gauss_hermite(quad_order)
     grid = TensorGrid(rule, target.dim)
+    amap = AffineMap.identity(grid.dim) if precondition is None else precondition
+    _check_map(amap, target)
     table = hermite.build_table(min(max_degree, rule.order - 1), rule.nodes)
-    coeffs = _solve(target, grid, table, max_degree, workers)
-    converged = False
-    quiet_shells = 0
-    for d, energy in enumerate(coeffs.shell_energy):
-        if energy <= tol * float(sum(coeffs.shell_energy[: d + 1])):
-            quiet_shells += 1
-            if quiet_shells == 2:
-                converged = True
-                end = coeffs._bounds[d + 1]
-                coeffs = CoefficientSet(
-                    coeffs.dim, coeffs.quad_order, coeffs.taus[:end], coeffs.values[:end]
-                )
-                break
-        else:
-            quiet_shells = 0
+    coeffs = _solve(target, grid, table, max_degree, workers, amap)
+    energy = np.array(coeffs.shell_energy)
+    quiet = energy <= tol * np.cumsum(energy)
+    hits = np.flatnonzero(quiet[1:] & quiet[:-1])
+    converged = hits.size > 0
+    if converged:
+        end = coeffs._bounds[hits[0] + 2]
+        coeffs = CoefficientSet(
+            coeffs.dim, coeffs.quad_order, coeffs.taus[:end], coeffs.values[:end]
+        )
     total = coeffs.total_energy
     if total == 0.0:
         raise DegenerateTargetError(
@@ -551,12 +554,7 @@ class ApproxDensity:
         # its last axis) holds at most 2^18 entries (2 MB)
         cs = self.coefficients
         extent = int(cs.taus.max(initial=0)) + 1
-        if extent**cs.dim > TENSOR_VALUE_LIMIT:
-            raise CapacityError(
-                f"coefficient box has {extent}^{cs.dim} entries, above the "
-                f"{TENSOR_VALUE_LIMIT} cap"
-            )
-        box = np.zeros((extent,) * cs.dim)
+        box = _zero_box(extent, cs.dim)
         box[tuple(cs.taus.T)] = cs.values
         chunk = max(1, 2**18 // extent ** max(cs.dim - 1, 1))
         return box, chunk
@@ -583,19 +581,17 @@ class ApproxDensity:
     def mass(self, quad_order=None):
         """Integral of the density by a fresh raw-node quadrature.
 
-        With the default order max_degree + 1 the squared reconstruction is
-        integrated exactly, so the result is 1 up to rounding; an
+        The default order is the per-axis extent of the coefficient box
+        (largest per-axis degree + 1), at which the squared reconstruction
+        is integrated exactly, so the result is 1 up to rounding; an
         independent normalization check. The node sum is separable: with
         the rule's Gram matrix G[m, n] = sum_i w_i h_m(r_i) h_n(r_i) it
         equals <a, a x_1 G x_2 G ... x_dim G>, so the node grid itself is
         never built.
         """
         cs = self.coefficients
-        rule = gauss_hermite(cs.max_degree + 1 if quad_order is None else quad_order)
-        nodes = rule.order**cs.dim
-        if nodes > 10**7:
-            raise CapacityError(f"normalization grid has {nodes} points (cap 10^7)")
         box, _ = self._box()
+        rule = gauss_hermite(box.shape[0] if quad_order is None else quad_order)
         table = hermite.build_table(box.shape[0] - 1, rule.nodes).values
         gram = (table * rule.weights) @ table.T
         weighted = box

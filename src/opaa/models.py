@@ -238,11 +238,16 @@ def from_config(config):
             coeffs[tuple(entry["tau"])] = _number(entry, "c")
         return PlantedDensity(dim=_require(config, "dim"), coeffs=coeffs)
     if kind == "gmm":
+        observations = config.get("observations", [])
+        if not isinstance(observations, list) or not all(map(_is_number, observations)):
+            raise ValueError(
+                f"model config 'observations' must be a list of numbers, got {observations!r}"
+            )
         model = GmmModel(
             clusters=_require(config, "clusters"),
             prior_sigma=_number(config, "prior_sigma"),
             obs_sigma=_number(config, "obs_sigma"),
-            observations=config.get("observations", []),
+            observations=observations,
         )
         return GmmJointDensity(model)
     raise ValueError(f"unknown model type {kind!r}")
@@ -254,9 +259,14 @@ def _require(config, key):
     return config[key]
 
 
+def _is_number(value):
+    """True for a JSON number: not a string, bool or null."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(config, key):
-    """A required JSON number (not a string, bool or null) as a float."""
+    """A required JSON number as a float."""
     value = _require(config, key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ValueError(f"model config {key!r} must be a number, got {value!r}")
     return float(value)

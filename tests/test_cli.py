@@ -160,12 +160,22 @@ def test_approximate_missing_and_malformed_config(tmp_path, capsys):
         {**GMM_CONJUGATE, "obs_sigma": "1.0"},
         {**PLANTED_1D, "coeffs": [{"tau": [0], "c": None}]},
         {**PLANTED_1D, "coeffs": [{"tau": 5, "c": 1.0}]},
+        {**GMM_CONJUGATE, "observations": ["1.5"]},
+        {**GMM_CONJUGATE, "observations": {"a": 1}},
     ],
-    ids=["dim-null", "prior_sigma-null", "obs_sigma-string", "c-null", "tau-int"],
+    ids=[
+        "dim-null",
+        "prior_sigma-null",
+        "obs_sigma-string",
+        "c-null",
+        "tau-int",
+        "observations-string",
+        "observations-mapping",
+    ],
 )
 def test_malformed_config_fails_with_one_line(tmp_path, capsys, config):
     # each used to escape main as a TypeError traceback, except the string
-    # sigma, which float() accepted
+    # sigma and the string observation, which float() accepted
     model = write_config(tmp_path, config)
     args = ["approximate", "--model", model, "--order", "4", "--output-dir", str(tmp_path)]
     assert main(args) == 1

@@ -146,12 +146,19 @@ def test_non_finite_target_is_reported():
         dim = 1
 
         def log_density(self, theta):
-            return float("inf") if abs(theta[0]) < 0.1 else -theta[0] ** 2
+            spike = min(abs(theta[0]), abs(theta[0] - 5.0)) < 0.1
+            return float("inf") if spike else -theta[0] ** 2
 
     grid, table = make_grid_and_table(3, 1, 1)
     with pytest.raises(NumericalDomainError) as err:
         coefficient_naive(Spiky(), grid, table, (0,))
     assert "node" in str(err.value)
+    # under a map the message names the mapped node 2 * 0 + 5, where the
+    # target was evaluated, not the raw node 0
+    amap = AffineMap(scale=[2.0], shift=[5.0])
+    with pytest.raises(NumericalDomainError) as err:
+        run_opaa(Spiky(), 3, precondition=amap, workers=1)
+    assert "5.0" in str(err.value)
 
 
 def test_generic_batch_fallback():
@@ -218,11 +225,12 @@ def test_degenerate_target_raises():
 
 
 def test_worker_count_does_not_change_bits():
-    # grid of 32768 points spans two slabs of 16 rows
+    # grid of 32768 points spans two slabs of 16 rows; the identity map
+    # gives the bits of no map
     target = opaa.GaussianIdentity(3)
     runs = [
         run_opaa(target, 32, max_degree=3, workers=w) for w in (1, 2, 8)
-    ]
+    ] + [run_opaa(target, 32, max_degree=3, precondition=AffineMap.identity(3), workers=2)]
     base = list(runs[0].coefficients.items())
     for other in runs[1:]:
         assert list(other.coefficients.items()) == base
@@ -409,6 +417,10 @@ def test_affine_map_dimension_check():
     amap = AffineMap(scale=[1.0, 1.0], shift=[0.0, 0.0])
     with pytest.raises(ValueError):
         amap.pull_back(opaa.GaussianIdentity(3))
+    target = CountingTarget(opaa.GaussianIdentity(3))
+    with pytest.raises(ValueError, match="map dimension 2 != target dimension 3"):
+        run_opaa(target, 4, precondition=amap, workers=1)
+    assert target.points == 0
 
 
 @pytest.mark.parametrize(
@@ -576,19 +588,24 @@ def test_density_mass_matches_node_sum(dim):
     ]
     coeffs = CoefficientSet.from_pairs(dim=dim, quad_order=None, pairs=pairs)
     density = build_density(coeffs)
-    # the default order and a raised one integrate exactly; a lowered one
-    # does not, so only it tells the off-diagonal Gram entries apart
+    # the default order (the box extent, degree + 1 here) and a raised one
+    # integrate exactly; a lowered one does not, so only it tells the
+    # off-diagonal Gram entries apart
     for quad_order in (None, degree + 5, degree - 2):
         expected = mass_by_nodes(density, quad_order or degree + 1)
         assert abs(density.mass(quad_order) - expected) <= 1e-13
     assert abs(mass_by_nodes(density, degree - 2) - 1.0) > 1e-3
 
 
-def test_density_mass_capacity_guard():
-    coeffs = CoefficientSet.from_pairs(dim=4, quad_order=None, pairs=[((0, 0, 0, 0), 1.0)])
-    density = build_density(coeffs)
-    with pytest.raises(CapacityError):
-        density.mass(quad_order=100)
+@pytest.mark.parametrize("dim, top", [(5, 5), (3, 90)])
+def test_density_mass_of_sets_with_a_high_total_degree(dim, top):
+    # the default order is the per-axis extent top + 1; the total degree
+    # dim * top + 1 would ask for 26^5 nodes, or an order above the largest
+    # rule (256), though the Gram contraction only needs the (top + 1)^dim box
+    pairs = [((0,) * dim, 1.0), ((top,) * dim, 0.1)]
+    density = build_density(CoefficientSet.from_pairs(dim=dim, quad_order=None, pairs=pairs))
+    assert abs(density.mass() - 1.0) <= 1e-12
+    assert density.mass() == density.mass(quad_order=top + 1)
 
 
 def test_density_box_capacity_guard(monkeypatch):
