@@ -30,8 +30,13 @@ relative bound:
 - ``worse``: the change's median reads worse by more than the bound;
 - ``within bound``: anything else.
 
-The verdicts are also printed, one line per workload and metric. Uses the
-standard library only.
+The verdicts are also printed, one line per workload and metric.
+
+After the pairs, each side runs every workload once more with ``--trace 1``,
+at seed ``first_seed + pairs`` and the same ``run_seconds``. Those runs'
+final JSON lines go under ``traces`` (one entry per workload and side, laid
+out as the entries of ``runs``), and their per-layer metrics are printed
+side by side. They do not enter ``summary``. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -93,10 +98,10 @@ def same_benchmark(a, b):
     return not mismatch and not errors
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """One benchmark process: its final JSON line and its environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     env = next(
@@ -175,6 +180,18 @@ def summarize(runs, spec):
     return out
 
 
+def trace_lines(traces):
+    """One line per workload and per-layer metric: the parent's and the change's value."""
+    lines = []
+    for workload in dict.fromkeys(t["workload"] for t in traces):
+        metrics = {t["side"]: t["metrics"] for t in traces if t["workload"] == workload}
+        for name in dict.fromkeys(n for side in SIDES for n in metrics.get(side, {})):
+            values = [metrics.get(side, {}).get(name, {}).get("value") for side in SIDES]
+            shown = ["-" if v is None else f"{v:.4g}" for v in values]
+            lines.append(f"{workload} {name}: parent {shown[0]}, change {shown[1]}")
+    return lines
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -195,6 +212,12 @@ def main(argv=None):
                     runs.append({"workload": workload, "seed": seed, "side": side, **result})
                     op_s = result["metrics"].get("op_s", {}).get("value")
                     print(f"{workload} seed {seed} {side}: correct={result['correct']} op_s={op_s}")
+        traces, seed = [], args.first_seed + args.pairs
+        for workload in (w["name"] for w in spec["workloads"]):
+            for side in SIDES:
+                result, _ = run_once(trees[side], workload, seed, seconds, trace=1)
+                traces.append({"workload": workload, "seed": seed, "side": side, **result})
+                print(f"{workload} seed {seed} {side} traced: correct={result['correct']}")
     machine = None
     if env is not None:
         machine = (
@@ -205,12 +228,14 @@ def main(argv=None):
         "what": (
             "alternating parent/change pairs of perfbench/run.py, one seed per pair "
             f"({args.first_seed}..{args.first_seed + args.pairs - 1}), run order flipped "
-            f"every pair; parent = {commit[:7]}, change = the working tree"
+            f"every pair; parent = {commit[:7]}, change = the working tree; traces: one "
+            f"run per workload and side with --trace 1 at seed {args.first_seed + args.pairs}"
         ),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "machine": machine,
         "summary": summarize(runs, spec),
         "runs": runs,
+        "traces": traces,
     }
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
     for workload, rows in record["summary"].items():
@@ -222,7 +247,9 @@ def main(argv=None):
                     f"spread {row['parent_spread']:.1%}, change wins "
                     f"{row['change_wins']}/{rows['pairs_correct']}: {row['verdict']}"
                 )
-    return 0 if all(r["correct"] for r in runs) else 1
+    for line in trace_lines(traces):
+        print(line)
+    return 0 if all(r["correct"] for r in runs + traces) else 1
 
 
 if __name__ == "__main__":

@@ -68,13 +68,17 @@ def load_coefficients(path):
     """
     coefficients = {}
     dim = None
+    # one decoder for the file; each line must hold exactly one JSON value
+    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                entry = json.loads(line)
+                entry, end = decode(line)
+                if end != len(line):
+                    raise ValueError(f"extra data at column {end + 1}")
                 tau = tuple(entry["tau"])
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -196,12 +200,7 @@ def _cmd_density_grid(args):
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     axis = np.linspace(lo, hi, args.points)
-    if coeffs.dim == 1:
-        pts = axis[:, None]
-    else:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-    vals = density(pts)
+    vals = density.grid([axis] * coeffs.dim)
     # each coordinate is formatted once: as the theta1 prefix of its row of
     # lines and as a theta2 label; each value once, as its line is built,
     # with _g17's format
@@ -209,7 +208,7 @@ def _cmd_density_grid(args):
     if coeffs.dim == 1:
         header, rows = "theta1,density", [("", vals)]
     else:
-        header, rows = "theta1,theta2,density", zip(labels, vals.reshape(len(labels), -1))
+        header, rows = "theta1,theta2,density", zip(labels, vals)
     with _output(args.output) as out:
         out.write(header + "\n")
         for prefix, row in rows:

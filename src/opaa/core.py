@@ -215,7 +215,9 @@ class CoefficientSet:
 
     @property
     def total_energy(self):
-        return float(sum(self.shell_energy))
+        # summed in sequence, like the stop rule's cumsum: Python >= 3.12
+        # compensates a float sum(), so its bits would depend on the version
+        return float(np.cumsum((0.0, *self.shell_energy))[-1])
 
     @property
     def shells(self):
@@ -273,7 +275,8 @@ def _sqrt_target_values(target, pts, log_jacobian=0.0):
     if not np.all(finite):
         t = int(np.argmin(finite))
         raise NumericalDomainError(
-            f"non-finite integrand at node {tuple(pts[t])}: log density {logp[t]!r}"
+            f"non-finite integrand at node {tuple(pts[t].tolist())}: "
+            f"log density {float(logp[t])!r}"
         )
     return vals
 
@@ -536,6 +539,17 @@ def _expansion(box, tables):
     return s
 
 
+def _contract_axes(box, matrices):
+    """box contracted along its axis k with matrices[k], for every axis k.
+
+    Each round contracts the leading axis and appends the result axis last,
+    so after one round per axis the axes are back in coordinate order.
+    """
+    for matrix in matrices:
+        box = np.tensordot(box, matrix, axes=([0], [0]))
+    return box
+
+
 @dataclass(frozen=True)
 class ApproxDensity:
     """Normalized smooth density reconstructed from a coefficient set.
@@ -543,7 +557,8 @@ class ApproxDensity:
     Evaluates [sum_tau a_tau prod_k psi_{tau_k}(theta_k)]^2 / total_energy
     through the Hermite-function recurrence, so it stays finite for any
     coordinate magnitude. Calling convention: a 1-D array is one point, a
-    2-D array is a batch of row points.
+    2-D array is a batch of row points. ``grid`` tabulates the density on
+    a tensor grid without building a basis row per point.
     """
 
     coefficients: CoefficientSet
@@ -578,6 +593,39 @@ class ApproxDensity:
         out /= cs.total_energy
         return float(out[0]) if single else out
 
+    def grid(self, axes):
+        """The density on the tensor product of the 1-D coordinate vectors axes.
+
+        Returns an array of shape (len(axes[0]), ..., len(axes[dim - 1])).
+        The sum over tau is separable, so each axis gets one psi table on
+        its own coordinates and the coefficient box is contracted with them
+        one axis at a time. The values agree with ``self`` at the meshgrid
+        points up to the rounding of the contraction order (bit for bit in
+        1-D). Raises CapacityError, before allocating, when the output or
+        any intermediate has more than TENSOR_VALUE_LIMIT entries.
+        """
+        cs = self.coefficients
+        axes = [np.asarray(axis, dtype=float) for axis in axes]
+        if len(axes) != cs.dim:
+            raise ValueError(f"need {cs.dim} coordinate axes, got {len(axes)}")
+        if any(axis.ndim != 1 or axis.size == 0 for axis in axes):
+            raise ValueError("each coordinate axis must be a non-empty 1-D array")
+        box, _ = self._box()
+        extent = box.shape[0]
+        # each axis's psi table, and the box after each contraction round
+        sizes, size = [], extent**cs.dim
+        for axis in axes:
+            size = size // extent * axis.size
+            sizes += [extent * axis.size, size]
+        if max(sizes) > TENSOR_VALUE_LIMIT:
+            raise CapacityError(
+                f"density grid needs an array of {max(sizes)} entries, above the "
+                f"{TENSOR_VALUE_LIMIT} cap"
+            )
+        tables = [hermite.psi_table(extent - 1, axis) for axis in axes]
+        s = _contract_axes(box, tables)
+        return s * s / cs.total_energy
+
     def mass(self, quad_order=None):
         """Integral of the density by a fresh raw-node quadrature.
 
@@ -594,11 +642,7 @@ class ApproxDensity:
         rule = gauss_hermite(box.shape[0] if quad_order is None else quad_order)
         table = hermite.build_table(box.shape[0] - 1, rule.nodes).values
         gram = (table * rule.weights) @ table.T
-        weighted = box
-        for _ in range(cs.dim):
-            # contract the leading coefficient axis, append the result last;
-            # after dim rounds the axes are back in coordinate order
-            weighted = np.tensordot(weighted, gram, axes=([0], [0]))
+        weighted = _contract_axes(box, [gram] * cs.dim)
         return float(np.vdot(box, weighted)) / cs.total_energy
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,40 @@ def test_verdict_rule_edges():
     assert verdict(wide, [3.5] * 10, 1, 0.25) == "within bound"
     # eight wins in ten are too few to call a gain
     assert verdict([2.0] * 10, [1.0] * 8 + [3.0] * 2, 1, 0.25) == "within bound"
+
+
+def test_record_holds_one_traced_run_per_workload_and_side(tmp_path, monkeypatch, capsys):
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds, trace=0):
+        # the parent side runs in the exported tree, here tmp_path
+        calls.append((workload, seed, trace))
+        value = 1.0 if tree == tmp_path else 0.5
+        names = ["cli.load_s"] if trace else [m["name"] for m in spec["end_to_end"]]
+        env = {"usable_cores": 2, "workers": 2, "python": "3", "numpy": "2", "blas": "b"}
+        metrics = {name: {"value": value, "unit": "s"} for name in names}
+        return {"correct": True, "metrics": metrics}, env
+
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: ("0" * 40, tmp_path))
+    monkeypatch.setattr(bench_pairs, "same_benchmark", lambda a, b: True)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    output = tmp_path / "record.json"
+    args = ["--parent", "HEAD", "--first-seed", "7", "--pairs", "2", "--output", str(output)]
+    assert bench_pairs.main(args) == 0
+    record = json.loads(output.read_text())
+    assert list(record) == ["what", "command", "machine", "summary", "runs", "traces"]
+    assert [(r["workload"], r["seed"]) for r in record["runs"]] == [
+        (w, s) for w in workloads for s in (7, 7, 8, 8)
+    ]
+    # the traced runs come after every pair, at the next seed, and stay out
+    # of the summary
+    assert calls[len(record["runs"]) :] == [(w, 9, 1) for w in workloads for _ in "pc"]
+    assert [(t["workload"], t["seed"], t["side"]) for t in record["traces"]] == [
+        (w, 9, side) for w in workloads for side in ("parent", "change")
+    ]
+    assert record["traces"][0]["metrics"] == {"cli.load_s": {"value": 1.0, "unit": "s"}}
+    assert all("cli.load_s" not in rows for rows in record["summary"].values())
+    out = capsys.readouterr().out
+    assert f"{workloads[0]} cli.load_s: parent 1, change 0.5" in out.splitlines()

@@ -247,7 +247,9 @@ def test_density_grid_two_dims(tmp_path):
 def reference_grid_csv(coefficients, lo, hi, n):
     """The density-grid CSV as the per-row _g17 loop used to write it.
 
-    Returns the bytes and the points and values behind them.
+    The values are ApproxDensity.grid's, theta1-major; how close they are to
+    pointwise density calls is test_core's business. Returns the bytes and
+    the points and values behind them.
     """
     coeffs = load_coefficients(coefficients)
     axis = np.linspace(lo, hi, n)
@@ -256,7 +258,7 @@ def reference_grid_csv(coefficients, lo, hi, n):
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
-    vals = build_density(coeffs)(pts)
+    vals = build_density(coeffs).grid([axis] * coeffs.dim).ravel()
     lines = ["theta1,density" if coeffs.dim == 1 else "theta1,theta2,density"]
     for row, v in zip(pts, vals):
         lines.append(",".join(_g17(c) for c in row) + "," + _g17(v))
@@ -403,6 +405,12 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": true}'], NOT_A_NUMBER + "True"),
         # float() of a 400-digit integer raised an uncaught OverflowError
         (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 1%s}' % ("0" * 400)], "bad coefficient line"),
+        # each line holds exactly one JSON value: no trailing data, no value
+        # cut short, and none split across lines (a whole-file parse of the
+        # lines joined by commas would read [1, 2] here)
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 0.5} {}'], "bad coefficient line"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 0.5'], "bad coefficient line"),
+        (['{"tau": [0], "a": 1.0}', '{"tau": [1', '2], "a": 0.5}'], "bad coefficient line"),
     ],
     ids=[
         "negative",
@@ -418,6 +426,9 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         "string-value",
         "bool-value",
         "huge-integer-value",
+        "trailing-data",
+        "truncated",
+        "split-value",
     ],
 )
 def test_bad_coefficient_files_are_rejected(tmp_path, capsys, lines, message):

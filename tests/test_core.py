@@ -158,7 +158,10 @@ def test_non_finite_target_is_reported():
     amap = AffineMap(scale=[2.0], shift=[5.0])
     with pytest.raises(NumericalDomainError) as err:
         run_opaa(Spiky(), 3, precondition=amap, workers=1)
-    assert "5.0" in str(err.value)
+    # plain numbers, not numpy reprs such as np.float64(5.0)
+    message = str(err.value)
+    assert "node (5.0,): log density inf" in message
+    assert "np." not in message
 
 
 def test_generic_batch_fallback():
@@ -451,6 +454,15 @@ def test_coefficient_set_queries():
     )
 
 
+def test_total_energy_is_summed_in_sequence():
+    # Python >= 3.12 compensates a float sum() and would give 1 + 2e-16 here;
+    # the sequential sum, as the stop rule's cumsum, gives 1.0 on every version
+    coeffs = CoefficientSet(1, None, [[0], [1], [2]], [1.0, 1e-8, 1e-8])
+    assert coeffs.shell_energy == (1.0, 1e-8 * 1e-8, 1e-8 * 1e-8)
+    assert coeffs.total_energy == np.cumsum(coeffs.shell_energy)[-1] == 1.0
+    assert CoefficientSet(2, None, np.zeros((0, 2)), []).total_energy == 0.0
+
+
 def test_coefficient_lookup_outside_the_set():
     coeffs = CoefficientSet.from_pairs(
         dim=2, quad_order=None, pairs=[((0, 0), 1.0), ((1, 0), 0.5), ((0, 2), 0.25)]
@@ -615,6 +627,49 @@ def test_density_box_capacity_guard(monkeypatch):
     )
     with pytest.raises(CapacityError):
         build_density(coeffs)(np.zeros(2))
+
+
+def random_density(dim, degree, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (tau, float(rng.normal()) * 0.7**d)
+        for d in range(degree + 1)
+        for tau in enumerate_shell(dim, d)
+    ]
+    return build_density(CoefficientSet.from_pairs(dim=dim, quad_order=None, pairs=pairs))
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 30), (2, 12), (3, 6)])
+def test_density_grid_matches_pointwise_calls(dim, degree):
+    density = random_density(dim, degree, seed=dim)
+    # unequal axis lengths, negative and far-tail coordinates
+    axes = [np.linspace(-9.0 + k, 7.0, 23 + 4 * k) for k in range(dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pointwise = density(np.stack([m.ravel() for m in mesh], axis=1)).reshape(mesh[0].shape)
+    values = density.grid(axes)
+    assert values.shape == tuple(len(a) for a in axes)
+    if dim == 1:
+        assert np.array_equal(values, pointwise)
+    else:
+        assert np.max(np.abs(values - pointwise)) <= 1e-13 * pointwise.max()
+
+
+def test_density_grid_argument_checks(monkeypatch):
+    density = random_density(2, 3, seed=0)
+    axis = np.linspace(-1.0, 1.0, 5)
+    assert density.grid([axis, axis[:3]]).shape == (5, 3)
+    assert density.grid([[0.5], (0.0, 1.0)]).shape == (1, 2)
+    for axes in ([axis], [axis] * 3, [axis, []], [axis, np.zeros((2, 2))], [axis, 1.0]):
+        with pytest.raises(ValueError):
+            density.grid(axes)
+    # the 4 x 4 box fits; the 20 x 20 output does not
+    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 100)
+    assert density.grid([axis, axis]).shape == (5, 5)
+    with pytest.raises(CapacityError):
+        density.grid([np.zeros(20)] * 2)
+    # nor does a 30-point axis's 4 x 30 psi table, though every round would
+    with pytest.raises(CapacityError):
+        density.grid([np.zeros(1), np.zeros(30)])
 
 
 def test_build_density_rejects_degenerate_sets():
