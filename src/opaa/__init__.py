@@ -11,6 +11,7 @@ from .core import (
     AffineMap,
     ApproxDensity,
     CoefficientSet,
+    GridPoints,
     RunResult,
     TargetDensity,
     build_density,
@@ -57,6 +58,7 @@ __all__ = [
     "GaussianIdentity",
     "GmmJointDensity",
     "GmmModel",
+    "GridPoints",
     "HermiteTable",
     "NumericalDomainError",
     "OracleRefusedError",

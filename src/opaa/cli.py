@@ -68,17 +68,13 @@ def load_coefficients(path):
     """
     coefficients = {}
     dim = None
-    # one decoder for the file; each line must hold exactly one JSON value
-    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                entry, end = decode(line)
-                if end != len(line):
-                    raise ValueError(f"extra data at column {end + 1}")
+                entry = json.loads(line)
                 tau = tuple(entry["tau"])
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:

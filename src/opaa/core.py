@@ -26,6 +26,7 @@ for bit for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ __all__ = [
     "ApproxDensity",
     "BLOCK_SIZE",
     "CoefficientSet",
+    "GridPoints",
     "RunResult",
     "TENSOR_VALUE_LIMIT",
     "TargetDensity",
@@ -56,6 +58,8 @@ __all__ = [
 BLOCK_SIZE = 16384
 # cap on the entries of the coefficient box every slab contracts into
 TENSOR_VALUE_LIMIT = 10**8
+# entries of the largest array a density evaluation builds per chunk (2 MB)
+_CHUNK_ENTRIES = 2**18
 WORKER_ENV_VAR = "OPAA_MAX_WORKERS"
 
 
@@ -550,6 +554,29 @@ def _contract_axes(box, matrices):
     return box
 
 
+class GridPoints:
+    """The points of a tensor grid, given by one 1-D coordinate vector per axis.
+
+    As an array it is the (n_points, dim) batch of its points, theta1-major
+    (``np.meshgrid(*axes, indexing="ij")`` flattened), so it can stand in
+    for that batch; ``ApproxDensity`` evaluates it per axis without
+    building the batch.
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
+        if not self.axes or any(axis.ndim != 1 or axis.size == 0 for axis in self.axes):
+            raise ValueError("a grid needs one or more non-empty 1-D coordinate axes")
+
+    @property
+    def shape(self):
+        return tuple(axis.size for axis in self.axes)
+
+    def __array__(self, dtype=None, copy=None):
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.asarray(np.stack([m.ravel() for m in mesh], axis=1), dtype=dtype)
+
+
 @dataclass(frozen=True)
 class ApproxDensity:
     """Normalized smooth density reconstructed from a coefficient set.
@@ -557,8 +584,8 @@ class ApproxDensity:
     Evaluates [sum_tau a_tau prod_k psi_{tau_k}(theta_k)]^2 / total_energy
     through the Hermite-function recurrence, so it stays finite for any
     coordinate magnitude. Calling convention: a 1-D array is one point, a
-    2-D array is a batch of row points. ``grid`` tabulates the density on
-    a tensor grid without building a basis row per point.
+    2-D array is a batch of row points, and a GridPoints is the batch of its
+    points, evaluated per axis. ``grid`` returns the latter in grid shape.
     """
 
     coefficients: CoefficientSet
@@ -566,15 +593,17 @@ class ApproxDensity:
     def _box(self):
         # dense coefficient box, and a point count per chunk at which the
         # largest per-chunk array (one axis table, or the box contracted over
-        # its last axis) holds at most 2^18 entries (2 MB)
+        # its last axis) holds at most _CHUNK_ENTRIES entries
         cs = self.coefficients
         extent = int(cs.taus.max(initial=0)) + 1
         box = _zero_box(extent, cs.dim)
         box[tuple(cs.taus.T)] = cs.values
-        chunk = max(1, 2**18 // extent ** max(cs.dim - 1, 1))
+        chunk = max(1, _CHUNK_ENTRIES // extent ** max(cs.dim - 1, 1))
         return box, chunk
 
     def __call__(self, points):
+        if isinstance(points, GridPoints):
+            return self._on_grid(points)
         cs = self.coefficients
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -593,38 +622,54 @@ class ApproxDensity:
         out /= cs.total_energy
         return float(out[0]) if single else out
 
+    def _on_grid(self, grid):
+        # The sum over tau is separable: one psi table per axis on that
+        # axis's coordinates, and the box contracted with them one leading
+        # axis at a time. Axis 0 goes in blocks of rows, so that apart from
+        # the output and the other axes' tables every array stays within
+        # _CHUNK_ENTRIES unless a single row exceeds it; in 1-D the blocks
+        # are __call__'s chunks, so the values are bit for bit __call__'s.
+        cs = self.coefficients
+        if len(grid.axes) != cs.dim:
+            raise ValueError(f"grid must have {cs.dim} axes, got {len(grid.axes)}")
+        box, _ = self._box()
+        extent = box.shape[0]
+        first, *rest = grid.axes
+        n = grid.shape
+        # entries per axis-0 row: its psi column, then the box after each round
+        per_row = [extent] + [
+            extent ** (cs.dim - 1 - k) * math.prod(n[1 : k + 1]) for k in range(cs.dim)
+        ]
+        largest = max(*per_row, math.prod(n), *(extent * axis.size for axis in rest))
+        if largest > TENSOR_VALUE_LIMIT:
+            raise CapacityError(
+                f"density grid needs an array of {largest} entries, above the "
+                f"{TENSOR_VALUE_LIMIT} cap"
+            )
+        rows = max(1, _CHUNK_ENTRIES // max(per_row))
+        tables = [hermite.psi_table(extent - 1, axis) for axis in rest]
+        out = np.empty(n)
+        for start in range(0, first.size, rows):
+            head = hermite.psi_table(extent - 1, first[start : start + rows])
+            s = _contract_axes(box, [head, *tables])
+            out[start : start + rows] = s * s
+        out /= cs.total_energy
+        return out.reshape(-1)
+
     def grid(self, axes):
         """The density on the tensor product of the 1-D coordinate vectors axes.
 
-        Returns an array of shape (len(axes[0]), ..., len(axes[dim - 1])).
-        The sum over tau is separable, so each axis gets one psi table on
-        its own coordinates and the coefficient box is contracted with them
-        one axis at a time. The values agree with ``self`` at the meshgrid
-        points up to the rounding of the contraction order (bit for bit in
-        1-D). Raises CapacityError, before allocating, when the output or
-        any intermediate has more than TENSOR_VALUE_LIMIT entries.
+        Returns an array of shape (len(axes[0]), ..., len(axes[dim - 1])):
+        the values of ``self(GridPoints(axes))``, which agree with ``self``
+        at the meshgrid points up to the rounding of the contraction order
+        (bit for bit in 1-D). Raises CapacityError, before allocating, when
+        the output, a later axis's psi table or one first-axis row's
+        intermediate has more than TENSOR_VALUE_LIMIT entries.
         """
-        cs = self.coefficients
-        axes = [np.asarray(axis, dtype=float) for axis in axes]
-        if len(axes) != cs.dim:
-            raise ValueError(f"need {cs.dim} coordinate axes, got {len(axes)}")
-        if any(axis.ndim != 1 or axis.size == 0 for axis in axes):
-            raise ValueError("each coordinate axis must be a non-empty 1-D array")
-        box, _ = self._box()
-        extent = box.shape[0]
-        # each axis's psi table, and the box after each contraction round
-        sizes, size = [], extent**cs.dim
-        for axis in axes:
-            size = size // extent * axis.size
-            sizes += [extent * axis.size, size]
-        if max(sizes) > TENSOR_VALUE_LIMIT:
-            raise CapacityError(
-                f"density grid needs an array of {max(sizes)} entries, above the "
-                f"{TENSOR_VALUE_LIMIT} cap"
-            )
-        tables = [hermite.psi_table(extent - 1, axis) for axis in axes]
-        s = _contract_axes(box, tables)
-        return s * s / cs.total_energy
+        # through __call__, the density's one evaluation entry, where a grid
+        # counts as its n_points points (perfbench's core.reconstruct boundary)
+        points = GridPoints(axes)
+        return self(points).reshape(points.shape)
 
     def mass(self, quad_order=None):
         """Integral of the density by a fresh raw-node quadrature.

@@ -8,7 +8,9 @@ import opaa
 import opaa.core
 from opaa.core import (
     AffineMap,
+    ApproxDensity,
     CoefficientSet,
+    GridPoints,
     TargetDensity,
     _lifted_weights,
     _resolve_workers,
@@ -645,9 +647,13 @@ def test_density_grid_matches_pointwise_calls(dim, degree):
     # unequal axis lengths, negative and far-tail coordinates
     axes = [np.linspace(-9.0 + k, 7.0, 23 + 4 * k) for k in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pointwise = density(np.stack([m.ravel() for m in mesh], axis=1)).reshape(mesh[0].shape)
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    # as an array, a GridPoints is the meshgrid batch, theta1-major
+    assert np.array_equal(np.asarray(GridPoints(axes)), points)
+    pointwise = density(points).reshape(mesh[0].shape)
     values = density.grid(axes)
     assert values.shape == tuple(len(a) for a in axes)
+    assert np.array_equal(density(GridPoints(axes)), values.ravel())
     if dim == 1:
         assert np.array_equal(values, pointwise)
     else:
@@ -670,6 +676,52 @@ def test_density_grid_argument_checks(monkeypatch):
     # nor does a 30-point axis's 4 x 30 psi table, though every round would
     with pytest.raises(CapacityError):
         density.grid([np.zeros(1), np.zeros(30)])
+
+
+def test_density_grid_is_one_density_call(monkeypatch):
+    # a grid is evaluated by one __call__ of the whole grid, so whatever
+    # counts reconstructed points at __call__ counts every grid point
+    density = random_density(2, 3, seed=0)
+    axes = [np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3)]
+    seen = []
+    original = ApproxDensity.__call__
+
+    def recording(self, points):
+        seen.append(np.asarray(points, dtype=float))
+        return original(self, points)
+
+    monkeypatch.setattr(ApproxDensity, "__call__", recording)
+    values = density.grid(axes)
+    assert len(seen) == 1 and seen[0].shape == (15, 2)
+    monkeypatch.undo()
+    assert np.max(np.abs(values.ravel() - density(seen[0]))) <= 1e-13 * values.max()
+
+
+@pytest.mark.parametrize("dim, degree, sizes", [(1, 30, (500,)), (2, 5, (40, 7))])
+def test_density_grid_works_in_row_blocks(monkeypatch, dim, degree, sizes):
+    density = random_density(dim, degree, seed=dim)
+    axes = [np.linspace(-6.0, 5.0 + k, n) for k, n in enumerate(sizes)]
+    whole = density.grid(axes)
+    # a long axis tabulates though its whole psi table (31 x 500 in 1-D)
+    # would pass the cap: only the output and single rows are held to it
+    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 1000)
+    assert np.array_equal(density.grid(axes), whole)
+    # with 64-entry chunks every psi table stays within 64 entries, and in
+    # 1-D the values are still bit for bit those of pointwise calls
+    monkeypatch.setattr(opaa.core, "_CHUNK_ENTRIES", 64)
+    tables = []
+    original = opaa.hermite.psi_table
+
+    def recording(max_degree, points):
+        tables.append(original(max_degree, points))
+        return tables[-1]
+
+    monkeypatch.setattr(opaa.hermite, "psi_table", recording)
+    blocked = density.grid(axes)
+    assert len(tables) > dim and max(t.size for t in tables) <= 64
+    assert np.max(np.abs(blocked - whole)) <= 1e-13 * whole.max()
+    if dim == 1:
+        assert np.array_equal(blocked, density(axes[0][:, None]))
 
 
 def test_build_density_rejects_degenerate_sets():
