@@ -68,7 +68,12 @@ class TargetDensity:
 
     Subclasses set ``dim`` and implement ``log_density`` (may return -inf
     where the density vanishes). ``log_density_batch`` has a generic
-    row-by-row fallback; vectorized targets should override it.
+    row-by-row fallback; vectorized targets should override it. Its batch
+    is an (n, dim) array of row points in any memory order. The engine
+    passes a column-major one, on which ``np.sum(pts, axis=1)`` adds whole
+    columns; a reduce that numpy still runs row by row there, such as
+    ``np.logaddexp.reduce``, is faster written as a fold over the columns
+    ``pts[:, k]``.
     """
 
     dim: int
@@ -365,7 +370,9 @@ def _project(target, grid, table, size, workers, amap):
     def slab_partial(slab):
         lo, hi = slab
         axes = np.meshgrid(nodes[0, lo:hi], *nodes[1:], indexing="ij", copy=False)
-        pts = np.stack(axes, axis=-1).reshape(-1, dim)
+        # the (n, dim) rows in theta1-major order, stored column-major so a
+        # target's per-row reduction adds along contiguous columns
+        pts = np.stack(axes).reshape(dim, -1).T
         values = _sqrt_target_values(target, pts, amap.log_jacobian).reshape(axes[0].shape)
         for _ in range(dim - 1):
             # consume the first full axis, append its degree axis at the end;
@@ -442,7 +449,12 @@ def _resolve_workers(workers):
     workers = as_int(workers, "workers", 1)
     cap = os.environ.get(WORKER_ENV_VAR)
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        # parsed, not cast: "2.0" and "two" are refused like any bad integer
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, limit))
     return workers
 
 

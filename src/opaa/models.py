@@ -134,16 +134,16 @@ class GmmModel:
 
     def __post_init__(self):
         object.__setattr__(self, "clusters", as_int(self.clusters, "clusters", 1))
-        if not self.prior_sigma > 0:
-            raise ValueError(f"prior_sigma must be > 0, got {self.prior_sigma!r}")
-        if not self.obs_sigma > 0:
-            raise ValueError(f"obs_sigma must be > 0, got {self.obs_sigma!r}")
+        for name in ("prior_sigma", "obs_sigma"):
+            sigma = getattr(self, name)
+            # an infinite sigma (a config's 1e999) makes every density zero
+            if not 0 < sigma < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {sigma!r}")
+            object.__setattr__(self, name, float(sigma))
         obs = np.asarray(self.observations, dtype=float).reshape(-1).copy()
         if not np.all(np.isfinite(obs)):
             raise ValueError("observations must be finite")
         obs.setflags(write=False)
-        object.__setattr__(self, "prior_sigma", float(self.prior_sigma))
-        object.__setattr__(self, "obs_sigma", float(self.obs_sigma))
         object.__setattr__(self, "observations", obs)
 
 
@@ -160,7 +160,11 @@ def _gmm_log_joint_batch(model, mus):
     log_k = np.log(model.clusters)
     for x in model.observations:
         comp = -0.5 * ((x - mus) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI
-        out += np.logaddexp.reduce(comp, axis=1) - log_k
+        # the left fold logaddexp.reduce(comp, axis=1) makes, a column at a time
+        mix = comp[:, 0]
+        for k in range(1, model.clusters):
+            mix = np.logaddexp(mix, comp[:, k])
+        out += mix - log_k
     return out
 
 

@@ -106,7 +106,8 @@ def integrate_box(f, box):
         rows = stop - start
         t = np.arange(start, stop)
         w_lead = np.ones(rows)
-        pts = np.empty((rows * m, dim))
+        # column-major, so f's per-row reductions add along contiguous columns
+        pts = np.empty((dim, rows * m)).T
         for k in range(dim - 2, -1, -1):
             jk = t % m
             t = t // m

@@ -183,6 +183,18 @@ def test_malformed_config_fails_with_one_line(tmp_path, capsys, config):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["prior_sigma", "obs_sigma"])
+def test_infinite_sigma_fails_with_one_line(tmp_path, capsys, key):
+    # JSON's 1e999 reads as inf; the run used to fail later with a
+    # DegenerateTargetError that advised preconditioning
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**GMM_CONJUGATE, key: "inf"}).replace('"inf"', "1e999"))
+    args = ["approximate", "--model", str(model), "--order", "4", "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be finite and > 0, got inf\n"
+
+
 def run_planted(tmp_path):
     model = write_config(tmp_path, PLANTED_1D)
     out = tmp_path / "run"

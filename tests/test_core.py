@@ -261,6 +261,57 @@ def test_multi_slab_matches_single_slab(monkeypatch):
         assert other.evidence == runs[0].evidence
 
 
+class _RowMajor(TargetDensity):
+    """Hands its target a C-ordered copy of each batch the engine passes."""
+
+    def __init__(self, target):
+        self.dim = target.dim
+        self._target = target
+        self.column_major = []
+
+    def log_density_batch(self, points):
+        self.column_major.append(points.flags.f_contiguous)
+        return self._target.log_density_batch(np.ascontiguousarray(points))
+
+
+@pytest.mark.parametrize(
+    "target, order, amap, max_degree",
+    [
+        pytest.param(
+            opaa.GmmJointDensity(
+                opaa.GmmModel(
+                    clusters=2,
+                    prior_sigma=10.0,
+                    obs_sigma=1.0,
+                    observations=(-6.0, -3.0, 0.0, 3.0, 6.0),
+                )
+            ),
+            32,
+            AffineMap(scale=[2.5, 2.5], shift=[0.0, 0.0]),
+            60,
+            id="gmm-2-clusters",
+        ),
+        pytest.param(
+            opaa.GaussianIdentity(4),
+            16,
+            AffineMap(scale=[0.8] * 4, shift=[0.3] * 4),
+            12,
+            id="identity-4",
+        ),
+    ],
+)
+def test_point_layout_changes_no_bits(target, order, amap, max_degree):
+    # the engine passes column-major batches; the same rows in row-major
+    # memory give the same coefficients and evidence, bit for bit
+    bare = run_opaa(target, order, max_degree=max_degree, precondition=amap, workers=2)
+    wrapped = _RowMajor(target)
+    copied = run_opaa(wrapped, order, max_degree=max_degree, precondition=amap, workers=2)
+    assert wrapped.column_major and all(wrapped.column_major)
+    assert np.array_equal(copied.coefficients.taus, bare.coefficients.taus)
+    assert copied.coefficients.values.tobytes() == bare.coefficients.values.tobytes()
+    assert copied.evidence == bare.evidence
+
+
 def test_aliased_degrees_are_never_summed():
     # h_6 aliases onto lower degrees on 5 nodes; with the budget clamped to
     # per-axis degree <= 4 the energy is the discrete Parseval total
@@ -396,6 +447,25 @@ def test_worker_env_cap(monkeypatch):
         _resolve_workers(0)
     with pytest.raises(ValueError):
         _resolve_workers(2.5)
+
+
+@pytest.mark.parametrize("cap", ["two", "2.0", "1e3", "0x2"])
+def test_worker_env_cap_must_be_an_integer(monkeypatch, cap):
+    # int() used to raise "invalid literal for int() with base 10: 'two'",
+    # which does not say where the value came from
+    monkeypatch.setenv("OPAA_MAX_WORKERS", cap)
+    with pytest.raises(ValueError, match="OPAA_MAX_WORKERS must be an integer"):
+        _resolve_workers(4)
+    with pytest.raises(ValueError, match="OPAA_MAX_WORKERS"):
+        run_opaa(opaa.GaussianIdentity(1), 4)
+
+
+@pytest.mark.parametrize("cap, workers", [(" 3 ", 3), ("+2", 2), ("0", 1), ("-3", 1), ("", 4)])
+def test_worker_env_cap_integer_strings(monkeypatch, cap, workers):
+    # integer strings are read as int() reads them, then clamped to >= 1;
+    # an empty value sets no cap
+    monkeypatch.setenv("OPAA_MAX_WORKERS", cap)
+    assert _resolve_workers(4) == workers
 
 
 def test_affine_map_validation():

@@ -88,6 +88,71 @@ def test_gmm_model_validation():
         GmmModel(clusters=1, prior_sigma=1.0, obs_sigma=-2.0, observations=())
     with pytest.raises(ValueError):
         GmmModel(clusters=1, prior_sigma=1.0, obs_sigma=1.0, observations=(np.nan,))
+    for name in ("prior_sigma", "obs_sigma"):
+        for bad in (math.inf, math.nan):
+            # an infinite sigma used to surface as a DegenerateTargetError
+            sigmas = {"prior_sigma": 1.0, "obs_sigma": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                GmmModel(clusters=1, observations=(), **sigmas)
+
+
+def _gmm_reference(model, mus):
+    # the joint with the mixture reduced by np.logaddexp.reduce over each row
+    sp, so = model.prior_sigma, model.obs_sigma
+    half_log_2pi = 0.5 * np.log(2.0 * np.pi)
+    out = np.sum(-0.5 * (mus / sp) ** 2 - np.log(sp) - half_log_2pi, axis=1)
+    for x in model.observations:
+        comp = -0.5 * ((x - mus) / so) ** 2 - np.log(so) - half_log_2pi
+        out += np.logaddexp.reduce(comp, axis=1) - np.log(model.clusters)
+    return out
+
+
+@pytest.mark.parametrize("clusters", [1, 2, 3, 5, 7])
+def test_gmm_mixture_fold_matches_logaddexp_reduce(clusters):
+    model = GmmModel(
+        clusters=clusters,
+        prior_sigma=10.0,
+        obs_sigma=1.0,
+        observations=(-9.0, -2.5, 0.4, 3.0, 7.7),
+    )
+    mus = np.random.default_rng(clusters).normal(0.0, 8.0, (301, clusters))
+    expected = _gmm_reference(model, mus)
+    target = GmmJointDensity(model)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert np.array_equal(target.log_density_batch(layout(mus)), expected)
+
+
+LAYOUT_TARGETS = (
+    [pytest.param(GaussianIdentity(d), id=f"identity-{d}") for d in range(1, 8)]
+    + [
+        pytest.param(
+            PlantedDensity(d, {(0,) * d: 1.0, (1,) * d: 0.3, (2,) + (0,) * (d - 1): -0.2}),
+            id=f"planted-{d}",
+        )
+        for d in range(1, 4)
+    ]
+    + [
+        pytest.param(
+            GmmJointDensity(
+                GmmModel(
+                    clusters=k, prior_sigma=10.0, obs_sigma=1.0, observations=(-4.0, 1.0, 6.5)
+                )
+            ),
+            id=f"gmm-{k}",
+        )
+        for k in range(1, 8)
+    ]
+)
+
+
+@pytest.mark.parametrize("target", LAYOUT_TARGETS)
+def test_log_density_batch_ignores_memory_order(target):
+    # the engine passes column-major batches; a row-major copy of the same
+    # rows must give the same bits
+    pts = np.random.default_rng(target.dim).normal(0.0, 3.0, (257, target.dim))
+    row_major = target.log_density_batch(np.ascontiguousarray(pts))
+    column_major = target.log_density_batch(np.asfortranarray(pts))
+    assert row_major.tobytes() == column_major.tobytes()
 
 
 def test_gmm_log_joint_prior_only():
