@@ -32,11 +32,14 @@ relative bound:
 
 The verdicts are also printed, one line per workload and metric.
 
-After the pairs, each side runs every workload once more with ``--trace 1``,
-at seed ``first_seed + pairs`` and the same ``run_seconds``. Those runs'
-final JSON lines go under ``traces`` (one entry per workload and side, laid
-out as the entries of ``runs``), and their per-layer metrics are printed
-side by side. They do not enter ``summary``. Uses the standard library only.
+After the pairs, each side runs every workload three more times with
+``--trace 1``, at seeds ``first_seed + pairs`` to ``first_seed + pairs + 2``
+and the same ``run_seconds``, the parent first at the first and third seed.
+One traced run's per-layer split moves by tens of percent on unchanged code,
+so the record keeps each layer's median and quartiles per side under
+``trace_summary`` (over the correct traced runs) next to the raw runs under
+``traces`` (laid out as the entries of ``runs``), and prints them side by
+side. Traced runs do not enter ``summary``. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -118,6 +121,24 @@ def run_once(tree, workload, seed, seconds, trace=0):
     return result, env
 
 
+def alternating(trees, workloads, seeds, seconds, trace):
+    """Every workload at every seed on both sides, the parent first at even offsets.
+
+    Returns the entries, in run order, and the first environment line seen.
+    """
+    entries, env = [], None
+    for workload in workloads:
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result, run_env = run_once(trees[side], workload, seed, seconds, trace)
+                env = env or run_env
+                entries.append({"workload": workload, "seed": seed, "side": side, **result})
+                op_s = result["metrics"].get("op_s", {}).get("value")
+                kind = "traced " if trace else ""
+                print(f"{workload} seed {seed} {side} {kind}correct={result['correct']} op_s={op_s}")
+    return entries, env
+
+
 def relative(delta, base):
     """delta / |base|, infinite for a nonzero delta on a zero base."""
     if base:
@@ -180,14 +201,31 @@ def summarize(runs, spec):
     return out
 
 
-def trace_lines(traces):
-    """One line per workload and per-layer metric: the parent's and the change's value."""
+def trace_summary(traces):
+    """workload -> per-layer metric -> side -> quartiles over the correct traced runs."""
+    values = {}
+    for t in traces:
+        for name, metric in t["metrics"].items() if t["correct"] else ():
+            layer = values.setdefault(t["workload"], {}).setdefault(name, {})
+            layer.setdefault(t["side"], []).append(metric["value"])
+    return {
+        workload: {
+            name: {side: quartiles(v) for side, v in sides.items()}
+            for name, sides in layers.items()
+        }
+        for workload, layers in values.items()
+    }
+
+
+def trace_lines(summary):
+    """One line per workload and per-layer metric: each side's median [q1-q3]."""
     lines = []
-    for workload in dict.fromkeys(t["workload"] for t in traces):
-        metrics = {t["side"]: t["metrics"] for t in traces if t["workload"] == workload}
-        for name in dict.fromkeys(n for side in SIDES for n in metrics.get(side, {})):
-            values = [metrics.get(side, {}).get(name, {}).get("value") for side in SIDES]
-            shown = ["-" if v is None else f"{v:.4g}" for v in values]
+    for workload, layers in summary.items():
+        for name, sides in layers.items():
+            shown = [
+                f"{q['median']:.4g} [{q['q1']:.4g}-{q['q3']:.4g}]" if q else "-"
+                for q in (sides.get(side) for side in SIDES)
+            ]
             lines.append(f"{workload} {name}: parent {shown[0]}, change {shown[1]}")
     return lines
 
@@ -196,28 +234,16 @@ def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    runs, env = [], None
+    workloads = [w["name"] for w in spec["workloads"]]
+    traced_seed = args.first_seed + args.pairs
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         commit, parent_tree = export_revision(args.parent, scratch)
         if not same_benchmark(parent_tree, ROOT):
             print("error: perfbench/ or BENCHMARK.json differ between the sides", file=sys.stderr)
             return 1
         trees = {"parent": parent_tree, "change": ROOT}
-        for workload in (w["name"] for w in spec["workloads"]):
-            for i in range(args.pairs):
-                seed = args.first_seed + i
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    result, run_env = run_once(trees[side], workload, seed, seconds)
-                    env = env or run_env
-                    runs.append({"workload": workload, "seed": seed, "side": side, **result})
-                    op_s = result["metrics"].get("op_s", {}).get("value")
-                    print(f"{workload} seed {seed} {side}: correct={result['correct']} op_s={op_s}")
-        traces, seed = [], args.first_seed + args.pairs
-        for workload in (w["name"] for w in spec["workloads"]):
-            for side in SIDES:
-                result, _ = run_once(trees[side], workload, seed, seconds, trace=1)
-                traces.append({"workload": workload, "seed": seed, "side": side, **result})
-                print(f"{workload} seed {seed} {side} traced: correct={result['correct']}")
+        runs, env = alternating(trees, workloads, range(args.first_seed, traced_seed), seconds, 0)
+        traces, _ = alternating(trees, workloads, range(traced_seed, traced_seed + 3), seconds, 1)
     machine = None
     if env is not None:
         machine = (
@@ -228,14 +254,16 @@ def main(argv=None):
         "what": (
             "alternating parent/change pairs of perfbench/run.py, one seed per pair "
             f"({args.first_seed}..{args.first_seed + args.pairs - 1}), run order flipped "
-            f"every pair; parent = {commit[:7]}, change = the working tree; traces: one "
-            f"run per workload and side with --trace 1 at seed {args.first_seed + args.pairs}"
+            f"every pair; parent = {commit[:7]}, change = the working tree; traces: three "
+            f"runs per workload and side with --trace 1 at seeds {traced_seed}.."
+            f"{traced_seed + 2}, run order flipped every seed"
         ),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "machine": machine,
         "summary": summarize(runs, spec),
         "runs": runs,
         "traces": traces,
+        "trace_summary": trace_summary(traces),
     }
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
     for workload, rows in record["summary"].items():
@@ -247,7 +275,7 @@ def main(argv=None):
                     f"spread {row['parent_spread']:.1%}, change wins "
                     f"{row['change_wins']}/{rows['pairs_correct']}: {row['verdict']}"
                 )
-    for line in trace_lines(traces):
+    for line in trace_lines(record["trace_summary"]):
         print(line)
     return 0 if all(r["correct"] for r in runs + traces) else 1
 

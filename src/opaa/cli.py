@@ -129,9 +129,8 @@ def save_summary(result, path):
 
 
 def _parse_axis_values(text, dim, what):
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"{what} must be comma-separated numbers, got {text!r}")
     if len(values) == 1:
@@ -141,13 +140,19 @@ def _parse_axis_values(text, dim, what):
     return values
 
 
+def _parse_interval(text, what):
+    lo, sep, hi = text.partition(":")
+    try:
+        pair = (float(lo), float(hi)) if sep else None
+    except ValueError:
+        pair = None
+    if pair is None or not all(map(math.isfinite, pair)):
+        raise ValueError(f"{what} must be LO:HI with finite numbers, got {text!r}")
+    return pair
+
+
 def _parse_intervals(text, dim):
-    pairs = []
-    for part in text.split(","):
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise ValueError(f"box axis {part!r} is not of the form LO:HI")
-        pairs.append((float(lo), float(hi)))
+    pairs = [_parse_interval(part, "--box") for part in text.split(",")]
     if len(pairs) == 1:
         pairs = pairs * dim
     if len(pairs) != dim:
@@ -157,11 +162,10 @@ def _parse_intervals(text, dim):
 
 def _cmd_approximate(args):
     target = from_config(load_config(args.model))
-    precondition = None
-    if args.scale is not None or args.shift is not None:
-        scale = _parse_axis_values(args.scale or "1", target.dim, "--scale")
-        shift = _parse_axis_values(args.shift or "0", target.dim, "--shift")
-        precondition = AffineMap(scale=scale, shift=shift)
+    precondition = AffineMap(
+        scale=_parse_axis_values(args.scale, target.dim, "--scale"),
+        shift=_parse_axis_values(args.shift, target.dim, "--shift"),
+    )
     result = run_opaa(
         target,
         args.order,
@@ -187,10 +191,7 @@ def _cmd_density_grid(args):
             f"density grids support 1 or 2 dimensions, coefficients have {coeffs.dim}"
         )
     density = build_density(coeffs)
-    lo, sep, hi = args.range.partition(":")
-    if not sep:
-        raise ValueError(f"--range must be LO:HI, got {args.range!r}")
-    lo, hi = float(lo), float(hi)
+    lo, hi = _parse_interval(args.range, "--range")
     if not lo < hi:
         raise ValueError(f"--range needs LO < HI, got {args.range!r}")
     if args.points < 2:
@@ -280,8 +281,8 @@ def _build_parser():
     p.add_argument("--order", type=int, required=True, help="1-D quadrature order")
     p.add_argument("--tol", type=float, default=1e-8, help="relative shell-energy tolerance")
     p.add_argument("--max-degree", type=int, default=20, help="largest total degree")
-    p.add_argument("--scale", help="precondition scale (single value or per-axis list)")
-    p.add_argument("--shift", help="precondition shift (single value or per-axis list)")
+    p.add_argument("--scale", default="1", help="precondition scale: one value or one per axis")
+    p.add_argument("--shift", default="0", help="precondition shift: one value or one per axis")
     p.add_argument("--workers", type=int, default=None, help="reduction worker threads")
     p.add_argument("--output-dir", default=".", help="directory for output files")
     p.set_defaults(func=_cmd_approximate)

@@ -18,14 +18,16 @@ of the box [0, Gamma-1]^dim at once (a higher per-axis degree would alias
 onto the Gamma nodes, so multi-indices never leave the box). The grid is cut
 along its leading axis into slabs of whole rows, a partition fixed by the
 grid shape and BLOCK_SIZE. Each slab evaluates sqrt(P) once per point,
-contracts its full axes and then its leading axis with the (node x degree)
-projection matrix, and the slab partials are added in ascending slab order
-no matter how many workers computed them, so results are reproducible bit
-for bit for any worker count.
+contracts its full axes with the (node x degree) projection matrix and
+writes the result into its own rows of one store; once every slab is in,
+the leading axis is contracted in one call. No slab's rows depend on another
+slab or on which worker computed them, so results are reproducible bit for
+bit for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +58,7 @@ __all__ = [
 
 # fixed block size: the reduction partition must not depend on worker count
 BLOCK_SIZE = 16384
-# cap on the entries of the coefficient box every slab contracts into
+# cap on the entries of a coefficient box, or of the store the slabs fill
 TENSOR_VALUE_LIMIT = 10**8
 # entries of the largest array a density evaluation builds per chunk (2 MB)
 _CHUNK_ENTRIES = 2**18
@@ -343,14 +345,15 @@ def _box_extent(grid, max_degree):
     return degree, min(degree, top) + 1
 
 
-def _zero_box(size, dim):
-    """A zero coefficient box of size^dim entries, refused above the cap."""
-    if size**dim > TENSOR_VALUE_LIMIT:
+def _zero_box(shape):
+    """A zero coefficient box of the given shape, refused above the cap."""
+    entries = math.prod(shape)
+    if entries > TENSOR_VALUE_LIMIT:
         raise CapacityError(
-            f"coefficient box has {size}^{dim} entries, above the "
+            f"coefficient box of shape {shape} has {entries} entries, above the "
             f"{TENSOR_VALUE_LIMIT} cap"
         )
-    return np.zeros((size,) * dim)
+    return np.zeros(shape)
 
 
 def _project(target, grid, table, size, workers, amap):
@@ -358,61 +361,47 @@ def _project(target, grid, table, size, workers, amap):
 
     The target is evaluated at the mapped nodes scale * r + shift, with the
     map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
-    worker holds one slab of sqrt-P values and one box-sized partial at a time.
+    contracts its full axes into its own rows of an (order, size, ..., size)
+    store, whose leading axis is contracted once after the last slab.
     """
     dim, order = grid.dim, grid.rule.order
-    box = _zero_box(size, dim)
+    store = _zero_box((order,) + (size,) * (dim - 1))
     nodes = amap.scale[:, None] * grid.rule.nodes + amap.shift[:, None]
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
     step = max(1, BLOCK_SIZE // order ** (dim - 1))
-    slabs = [(lo, min(lo + step, order)) for lo in range(0, order, step)]
+    slabs = range(0, order, step)
 
-    def slab_partial(slab):
-        lo, hi = slab
-        axes = np.meshgrid(nodes[0, lo:hi], *nodes[1:], indexing="ij", copy=False)
-        # the (n, dim) rows in theta1-major order, stored column-major so a
-        # target's per-row reduction adds along contiguous columns
-        pts = np.stack(axes).reshape(dim, -1).T
-        values = _sqrt_target_values(target, pts, amap.log_jacobian).reshape(axes[0].shape)
-        for _ in range(dim - 1):
-            # consume the first full axis, append its degree axis at the end;
-            # after dim - 1 rounds the trailing axes are in coordinate order
-            values = np.tensordot(values, proj, axes=([1], [0]))
-        return np.tensordot(proj[lo:hi], values, axes=([0], [0]))
+    def fill(lo):
+        points = GridPoints((nodes[0, lo : lo + step], *nodes[1:]))
+        values = _sqrt_target_values(target, np.asarray(points), amap.log_jacobian)
+        # rows last: each round contracts the leading axis and appends its
+        # degrees, so the result is (rows, degree_2, ..., degree_dim)
+        rows = np.moveaxis(values.reshape(points.shape), 0, -1)
+        store[lo : lo + step] = _contract_axes(rows, [proj] * (dim - 1))
 
     if workers > 1 and len(slabs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            for partial in executor.map(slab_partial, slabs):
-                box += partial
+            list(executor.map(fill, slabs))
     else:
-        for slab in slabs:
-            box += slab_partial(slab)
-    return box
+        for lo in slabs:
+            fill(lo)
+    return np.tensordot(proj, store, axes=([0], [0]))
 
 
 def _shell_layout(dim, size, degree):
     """Every tau in [0, size - 1]^dim with total degree <= degree, in shell order.
 
     Shell order is total degree ascending, then descending lexicographic
-    (multiindex.enumerate_shell's order). Each axis repeats every prefix
-    once per entry its remaining degree budget allows, entries running high
-    to low, which lists all taus in descending lexicographic order; a
-    stable sort by degree then groups the shells. The cost is proportional
-    to the number of taus, not to the size^dim box.
+    (multiindex.enumerate_shell's order). With every axis of the box
+    running high to low, C order is descending lexicographic order, so one
+    stable sort of the box's degrees groups the shells in that order.
     """
-    budget = np.array([degree])
-    columns = []
-    for _ in range(dim):
-        top = np.minimum(budget, size - 1)
-        counts = top + 1
-        parent = np.repeat(np.arange(budget.size), counts)
-        rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        entry = top[parent] - rank
-        columns = [c[parent] for c in columns] + [entry]
-        budget = budget[parent] - entry
-    # a key of at most 16 bits takes numpy's radix sort
-    key = (degree - budget).astype(np.min_scalar_type(degree))
-    return np.column_stack(columns)[np.argsort(key, kind="stable")]
+    # a degree of at most 16 bits takes numpy's radix sort
+    high_to_low = np.arange(size - 1, -1, -1).astype(np.min_scalar_type(dim * (size - 1)))
+    degrees = functools.reduce(np.add.outer, [high_to_low] * dim).ravel()
+    kept = np.flatnonzero(degrees <= degree)
+    flat = kept[np.argsort(degrees[kept], kind="stable")]
+    return size - 1 - np.column_stack(np.unravel_index(flat, (size,) * dim))
 
 
 def _shells(box, quad_order, degree):
@@ -435,7 +424,8 @@ def coefficients_contracted(target, grid, table, max_degree):
     Streams the grid through the slab engine that run_opaa uses, on one
     worker. Multi-indices stay inside the box [0, order - 1]^dim and the
     degree budget is clamped to dim * (order - 1). Raises CapacityError,
-    before evaluating the target, when the box has more than
+    before evaluating the target, when the (order, size, ..., size) store
+    the slabs fill, size being the per-axis box extent, has more than
     TENSOR_VALUE_LIMIT entries.
     """
     max_degree = as_int(max_degree, "max_degree", 0)
@@ -496,9 +486,9 @@ def run_opaa(
     workers : int, optional
         Worker threads, one grid slab each at a time (default: available
         parallelism, capped by the OPAA_MAX_WORKERS environment variable).
-        The slab partition depends only on the grid shape and slab partials
-        are added in a fixed order, so the result is bitwise identical for
-        any worker count.
+        The slab partition depends only on the grid shape, each slab fills
+        its own rows and the leading axis is contracted once, so the result
+        is bitwise identical for any worker count.
 
     Raises
     ------
@@ -506,7 +496,8 @@ def run_opaa(
         If every coefficient is numerically zero (no target mass in the
         node range); preconditioning is the usual fix.
     CapacityError
-        If the coefficient box exceeds TENSOR_VALUE_LIMIT entries.
+        If the engine's (quad_order, size, ..., size) store, size being the
+        per-axis box extent, exceeds TENSOR_VALUE_LIMIT entries.
     """
     if not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -570,9 +561,9 @@ class GridPoints:
     """The points of a tensor grid, given by one 1-D coordinate vector per axis.
 
     As an array it is the (n_points, dim) batch of its points, theta1-major
-    (``np.meshgrid(*axes, indexing="ij")`` flattened), so it can stand in
-    for that batch; ``ApproxDensity`` evaluates it per axis without
-    building the batch.
+    (``np.meshgrid(*axes, indexing="ij")`` flattened) and column-major in
+    memory, so it can stand in for that batch; ``ApproxDensity`` evaluates
+    it per axis without building the batch.
     """
 
     def __init__(self, axes):
@@ -585,8 +576,10 @@ class GridPoints:
         return tuple(axis.size for axis in self.axes)
 
     def __array__(self, dtype=None, copy=None):
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.asarray(np.stack([m.ravel() for m in mesh], axis=1), dtype=dtype)
+        mesh = np.meshgrid(*self.axes, indexing="ij", copy=False)
+        # the rows theta1-major, stored column-major so that a target's
+        # per-row reduction adds along contiguous columns
+        return np.asarray(np.stack(mesh).reshape(len(self.axes), -1).T, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -608,7 +601,7 @@ class ApproxDensity:
         # its last axis) holds at most _CHUNK_ENTRIES entries
         cs = self.coefficients
         extent = int(cs.taus.max(initial=0)) + 1
-        box = _zero_box(extent, cs.dim)
+        box = _zero_box((extent,) * cs.dim)
         box[tuple(cs.taus.T)] = cs.values
         chunk = max(1, _CHUNK_ENTRIES // extent ** max(cs.dim - 1, 1))
         return box, chunk

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from .core import TargetDensity
+from .core import GridPoints, TargetDensity
 from .errors import as_int
 
 __all__ = [
@@ -111,11 +111,7 @@ class PlantedDensity(TargetDensity):
             points_per_axis = 10_000 if self.dim == 1 else 512
         points_per_axis = as_int(points_per_axis, "points_per_axis", 1)
         axis = np.linspace(-half_range, half_range, points_per_axis)
-        if self.dim == 1:
-            return float(np.min(self.bracket(axis[:, None])))
-        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        return float(np.min(self.bracket(pts)))
+        return float(np.min(self.bracket(GridPoints([axis] * self.dim))))
 
 
 @dataclass(frozen=True)

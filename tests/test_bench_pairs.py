@@ -76,18 +76,21 @@ def test_verdict_rule_edges():
     assert verdict([2.0] * 10, [1.0] * 8 + [3.0] * 2, 1, 0.25) == "within bound"
 
 
-def test_record_holds_one_traced_run_per_workload_and_side(tmp_path, monkeypatch, capsys):
+def test_record_holds_three_traced_runs_per_workload_and_side(tmp_path, monkeypatch, capsys):
     spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    first, last = workloads[0], workloads[-1]
     calls = []
 
     def fake_run_once(tree, workload, seed, seconds, trace=0):
         # the parent side runs in the exported tree, here tmp_path
         calls.append((workload, seed, trace))
-        value = 1.0 if tree == tmp_path else 0.5
+        value = (1.0 if tree == tmp_path else 0.5) * (seed - 8 if trace else 1)
         names = ["cli.load_s"] if trace else [m["name"] for m in spec["end_to_end"]]
         env = {"usable_cores": 2, "workers": 2, "python": "3", "numpy": "2", "blas": "b"}
         metrics = {name: {"value": value, "unit": "s"} for name in names}
+        if trace and (workload, seed) == (last, 11) and tree != tmp_path:
+            return {"correct": False, "metrics": {}}, env
         return {"correct": True, "metrics": metrics}, env
 
     monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: ("0" * 40, tmp_path))
@@ -95,19 +98,33 @@ def test_record_holds_one_traced_run_per_workload_and_side(tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     output = tmp_path / "record.json"
     args = ["--parent", "HEAD", "--first-seed", "7", "--pairs", "2", "--output", str(output)]
-    assert bench_pairs.main(args) == 0
+    # one traced run failed
+    assert bench_pairs.main(args) == 1
     record = json.loads(output.read_text())
-    assert list(record) == ["what", "command", "machine", "summary", "runs", "traces"]
+    keys = ["what", "command", "machine", "summary", "runs", "traces", "trace_summary"]
+    assert list(record) == keys
     assert [(r["workload"], r["seed"]) for r in record["runs"]] == [
         (w, s) for w in workloads for s in (7, 7, 8, 8)
     ]
-    # the traced runs come after every pair, at the next seed, and stay out
-    # of the summary
-    assert calls[len(record["runs"]) :] == [(w, 9, 1) for w in workloads for _ in "pc"]
+    # the traced runs come after every pair, three seeds per workload with
+    # the run order flipped every seed, and stay out of the summary
+    traced = [(w, s, 1) for w in workloads for s in (9, 9, 10, 10, 11, 11)]
+    assert calls[len(record["runs"]) :] == traced
+    order = {9: ("parent", "change"), 10: ("change", "parent"), 11: ("parent", "change")}
     assert [(t["workload"], t["seed"], t["side"]) for t in record["traces"]] == [
-        (w, 9, side) for w in workloads for side in ("parent", "change")
+        (w, s, side) for w in workloads for s in (9, 10, 11) for side in order[s]
     ]
     assert record["traces"][0]["metrics"] == {"cli.load_s": {"value": 1.0, "unit": "s"}}
     assert all("cli.load_s" not in rows for rows in record["summary"].values())
+    # each side's median and quartiles over its correct traced runs
+    assert record["trace_summary"][first]["cli.load_s"] == {
+        "parent": {"median": 2.0, "q1": 1.5, "q3": 2.5},
+        "change": {"median": 1.0, "q1": 0.75, "q3": 1.25},
+    }
+    assert record["trace_summary"][last]["cli.load_s"]["change"] == {
+        "median": 0.75,
+        "q1": 0.625,
+        "q3": 0.875,
+    }
     out = capsys.readouterr().out
-    assert f"{workloads[0]} cli.load_s: parent 1, change 0.5" in out.splitlines()
+    assert f"{first} cli.load_s: parent 2 [1.5-2.5], change 1 [0.75-1.25]" in out.splitlines()

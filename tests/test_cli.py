@@ -195,6 +195,28 @@ def test_infinite_sigma_fails_with_one_line(tmp_path, capsys, key):
     assert err == f"error: {key} must be finite and > 0, got inf\n"
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--scale=", "--shift=2.0"], "--scale"),
+        (["--scale", "1.4,,"], "--scale"),
+        (["--scale=1.4,"], "--scale"),
+        (["--shift="], "--shift"),
+        (["--scale=1.4", "--shift= "], "--shift"),
+    ],
+)
+def test_empty_scale_or_shift_fails_with_one_line(tmp_path, capsys, flags, named):
+    # an empty value used to run with the default and an empty field was
+    # dropped, so "--scale 1.4,," ran as "--scale 1.4"
+    model = write_config(tmp_path, IDENTITY_2D)
+    out = tmp_path / "run"
+    args = ["approximate", "--model", model, "--order", "4", "--output-dir", str(out), *flags]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def run_planted(tmp_path):
     model = write_config(tmp_path, PLANTED_1D)
     out = tmp_path / "run"
@@ -340,6 +362,19 @@ def test_density_grid_argument_validation(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bound", ["-inf:4", "-4:inf", "nan:4", "a:1", "1:", ":"])
+def test_density_grid_range_needs_finite_numbers(tmp_path, capsys, bound):
+    # an infinite bound used to print nan rows and exit 0, and "a:1" failed
+    # with a float() message that did not name the flag
+    out = run_planted(tmp_path)
+    capsys.readouterr()
+    args = ["density-grid", "--coefficients", str(out / "coefficients.jsonl")]
+    assert main([*args, f"--range={bound}", "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --range must be LO:HI with finite numbers, got {bound!r}\n"
 
 
 def test_coefficient_file_round_trip_is_exact(tmp_path, planted_1d):
@@ -558,6 +593,17 @@ def test_oracle_evidence(tmp_path, capsys):
     )
     assert code == 1
     assert "cover" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["a:1", "-9:9,b:2", "-inf:9", "-9"])
+def test_oracle_evidence_box_needs_finite_numbers(tmp_path, capsys, box):
+    # "a:1" used to fail with a float() message that did not name the flag
+    model = write_config(tmp_path, GMM_CONJUGATE)
+    args = ["oracle-evidence", "--model", model, f"--box={box}", "--points-per-axis", "11"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --box must be LO:HI with finite numbers, got ")
+    assert err.count("\n") == 1
 
 
 def test_no_arguments_fails_and_help_succeeds(capsys):

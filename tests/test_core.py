@@ -102,9 +102,10 @@ class CountingTarget(TargetDensity):
 
 
 def test_contracted_capacity_guard(monkeypatch):
-    # the cap is on the coefficient box (min(D, order-1)+1)^dim, checked
-    # before the target is evaluated at all
-    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 100)
+    # the cap is on the store the slabs fill, order x (min(D, order-1)+1)^(dim-1),
+    # checked before the target is evaluated at all; degree 9 on 12 nodes is
+    # a 12x10 store, exactly at the cap
+    monkeypatch.setattr(opaa.core, "TENSOR_VALUE_LIMIT", 120)
     target = CountingTarget(opaa.GaussianIdentity(2))
     grid, table = make_grid_and_table(12, 2, 10)
     with pytest.raises(CapacityError) as err:
@@ -596,6 +597,13 @@ def test_coefficient_set_arrays():
         (2, 61, 60),
         (4, 13, 12),
         (10, 5, 4),
+        # box degrees up to 254 and 255 fill an 8-bit degree array; the
+        # truncated boxes keep degree 20 of a top degree of 117 and of 297,
+        # which needs 16 bits
+        (2, 128, 254),
+        (1, 256, 255),
+        (3, 40, 20),
+        (3, 100, 20),
     ],
 )
 def test_shell_layout_matches_enumerate_shell(dim, size, degree):
@@ -718,8 +726,10 @@ def test_density_grid_matches_pointwise_calls(dim, degree):
     axes = [np.linspace(-9.0 + k, 7.0, 23 + 4 * k) for k in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    # as an array, a GridPoints is the meshgrid batch, theta1-major
-    assert np.array_equal(np.asarray(GridPoints(axes)), points)
+    # as an array, a GridPoints is the meshgrid batch, theta1-major, stored
+    # column by column
+    batch = np.asarray(GridPoints(axes))
+    assert batch.flags.f_contiguous and np.array_equal(batch, points)
     pointwise = density(points).reshape(mesh[0].shape)
     values = density.grid(axes)
     assert values.shape == tuple(len(a) for a in axes)
