@@ -17,12 +17,16 @@ The sum is separable, so one contraction engine computes every coefficient
 of the box [0, Gamma-1]^dim at once (a higher per-axis degree would alias
 onto the Gamma nodes, so multi-indices never leave the box). The grid is cut
 along its leading axis into slabs of whole rows, a partition fixed by the
-grid shape and BLOCK_SIZE. Each slab evaluates sqrt(P) once per point,
-contracts its full axes with the (node x degree) projection matrix and
-writes the result into its own rows of one store; once every slab is in,
-the leading axis is contracted in one call. No slab's rows depend on another
-slab or on which worker computed them, so results are reproducible bit for
-bit for any worker count.
+grid shape and BLOCK_SIZE. Each slab hands the target its tensor grid of
+mapped nodes (``TargetDensity.log_density_grid``), contracts its full axes
+with the (node x degree) projection matrix and writes the result into its
+own rows of one store; once every slab is in, the leading axis is
+contracted in one call. The calling thread and ``workers - 1`` helper
+threads take slabs in increasing order from one shared queue. No slab's
+rows depend on another slab or on which thread computed them, so results
+are reproducible bit for bit for any worker count; and since a thread
+stops at its own first failing slab, the lowest failing slab is always
+evaluated and its error is the one raised, as on one worker.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -71,11 +75,22 @@ class TargetDensity:
     Subclasses set ``dim`` and implement ``log_density`` (may return -inf
     where the density vanishes). ``log_density_batch`` has a generic
     row-by-row fallback; vectorized targets should override it. Its batch
-    is an (n, dim) array of row points in any memory order. The engine
-    passes a column-major one, on which ``np.sum(pts, axis=1)`` adds whole
-    columns; a reduce that numpy still runs row by row there, such as
-    ``np.logaddexp.reduce``, is faster written as a fold over the columns
-    ``pts[:, k]``.
+    is an (n, dim) array of row points in any memory order; a column-major
+    one adds whole columns in ``np.sum(pts, axis=1)``, and a reduce that
+    numpy runs row by row there, such as ``np.logaddexp.reduce``, is faster
+    written as a fold over the columns ``pts[:, k]``.
+
+    The engine calls ``log_density_grid(grid)`` instead, with a
+    ``GridPoints``: it returns log P at the grid's points, flattened
+    theta1-major, as an (n_points,) array. Overriding it is optional. The
+    default evaluates ``log_density_batch(np.asarray(grid))``, the
+    column-major batch of the grid's points. A target whose terms separate
+    over the coordinates can instead compute them once per coordinate on
+    ``grid.axes`` and combine them by broadcasting; such an override must
+    return the bits ``log_density_batch`` returns on that batch, or results
+    would depend on which path ran. ``opaa oracle-evidence`` keeps calling
+    ``log_density_batch``, so the reference integral does not share the
+    engine's evaluation path.
     """
 
     dim: int
@@ -86,6 +101,9 @@ class TargetDensity:
     def log_density_batch(self, points):
         pts = np.asarray(points, dtype=float)
         return np.array([self.log_density(p) for p in pts])
+
+    def log_density_grid(self, grid):
+        return self.log_density_batch(np.asarray(grid))
 
 
 @dataclass(frozen=True)
@@ -273,20 +291,25 @@ def _lifted_weights(rule):
     return rule.weights * np.exp(0.5 * rule.nodes**2)
 
 
-def _sqrt_target_values(target, pts, log_jacobian=0.0):
-    """exp((log P + log_jacobian) / 2) at the (n, dim) points pts."""
-    logp = np.asarray(target.log_density_batch(pts), dtype=float) + log_jacobian
-    if logp.shape != (pts.shape[0],):
-        raise ValueError(
-            f"log_density_batch returned shape {logp.shape}, expected ({pts.shape[0]},)"
-        )
+def _sqrt_target_values(target, points, log_jacobian=0.0):
+    """exp((log P + log_jacobian) / 2) at a GridPoints or an (n, dim) batch."""
+    if isinstance(points, GridPoints):
+        method, n = "log_density_grid", math.prod(points.shape)
+        logp = target.log_density_grid(points)
+    else:
+        method, n = "log_density_batch", points.shape[0]
+        logp = target.log_density_batch(points)
+    logp = np.asarray(logp, dtype=float) + log_jacobian
+    if logp.shape != (n,):
+        raise ValueError(f"{method} returned shape {logp.shape}, expected ({n},)")
     with np.errstate(over="ignore"):
         vals = np.exp(0.5 * logp)
     finite = np.isfinite(vals)
     if not np.all(finite):
         t = int(np.argmin(finite))
+        # only here is a grid's point batch built
         raise NumericalDomainError(
-            f"non-finite integrand at node {tuple(pts[t].tolist())}: "
+            f"non-finite integrand at node {tuple(np.asarray(points)[t].tolist())}: "
             f"log density {float(logp[t])!r}"
         )
     return vals
@@ -363,6 +386,8 @@ def _project(target, grid, table, size, workers, amap):
     map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
     contracts its full axes into its own rows of an (order, size, ..., size)
     store, whose leading axis is contracted once after the last slab.
+    The calling thread and up to workers - 1 helpers take the slabs in
+    increasing order; on failure the lowest failing slab's error is raised.
     """
     dim, order = grid.dim, grid.rule.order
     store = _zero_box((order,) + (size,) * (dim - 1))
@@ -370,21 +395,41 @@ def _project(target, grid, table, size, workers, amap):
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
     step = max(1, BLOCK_SIZE // order ** (dim - 1))
     slabs = range(0, order, step)
+    queue = iter(slabs)
+    lock = threading.Lock()
+    failures = []
 
     def fill(lo):
         points = GridPoints((nodes[0, lo : lo + step], *nodes[1:]))
-        values = _sqrt_target_values(target, np.asarray(points), amap.log_jacobian)
+        values = _sqrt_target_values(target, points, amap.log_jacobian)
         # rows last: each round contracts the leading axis and appends its
         # degrees, so the result is (rows, degree_2, ..., degree_dim)
         rows = np.moveaxis(values.reshape(points.shape), 0, -1)
         store[lo : lo + step] = _contract_axes(rows, [proj] * (dim - 1))
 
-    if workers > 1 and len(slabs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            list(executor.map(fill, slabs))
-    else:
-        for lo in slabs:
-            fill(lo)
+    def work():
+        # slabs leave the queue in increasing order and a thread stops only
+        # at a failing slab, so the lowest failing slab is always taken and
+        # its error is always among the failures
+        while True:
+            with lock:
+                lo = next(queue, None)
+            if lo is None:
+                return
+            try:
+                fill(lo)
+            except Exception as exc:
+                failures.append((lo, exc))
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(slabs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return np.tensordot(proj, store, axes=([0], [0]))
 
 
@@ -477,18 +522,22 @@ def run_opaa(
     quad_order : int
         1-D Gauss-Hermite order, 1..MAX_ORDER.
     tol : float
-        Relative shell-energy tolerance, finite and > 0.
+        Relative shell-energy tolerance, finite and > 0: a Python or numpy
+        real number, not a bool.
     max_degree : int
         Largest total degree to compute, >= 0.
     precondition : AffineMap, optional
         Change of variables theta = scale * r + shift, applied to the
         per-axis quadrature nodes r; preserves the evidence.
     workers : int, optional
-        Worker threads, one grid slab each at a time (default: available
-        parallelism, capped by the OPAA_MAX_WORKERS environment variable).
-        The slab partition depends only on the grid shape, each slab fills
-        its own rows and the leading axis is contracted once, so the result
-        is bitwise identical for any worker count.
+        Threads that evaluate grid slabs: the calling thread plus
+        ``workers - 1`` helpers, each taking the next slab in increasing
+        order (default: available parallelism, capped by the
+        OPAA_MAX_WORKERS environment variable). The slab partition depends
+        only on the grid shape, each slab fills its own rows and the
+        leading axis is contracted once, so the result is bitwise identical
+        for any worker count. If slabs fail, the error of the lowest
+        failing slab is raised, the one a single worker meets first.
 
     Raises
     ------
@@ -499,8 +548,9 @@ def run_opaa(
         If the engine's (quad_order, size, ..., size) store, size being the
         per-axis box extent, exceeds TENSOR_VALUE_LIMIT entries.
     """
-    if not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
+    if not ((is_int(tol) or isinstance(tol, (float, np.floating))) and 0 < tol < np.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    tol = float(tol)
     max_degree = as_int(max_degree, "max_degree", 0)
     workers = _resolve_workers(workers)
     rule = gauss_hermite(quad_order)
@@ -562,14 +612,17 @@ class GridPoints:
 
     As an array it is the (n_points, dim) batch of its points, theta1-major
     (``np.meshgrid(*axes, indexing="ij")`` flattened) and column-major in
-    memory, so it can stand in for that batch; ``ApproxDensity`` evaluates
-    it per axis without building the batch.
+    memory, so it can stand in for that batch; ``ApproxDensity`` and the
+    built-in targets evaluate it per axis without building the batch. The
+    coordinates must be finite.
     """
 
     def __init__(self, axes):
         self.axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
         if not self.axes or any(axis.ndim != 1 or axis.size == 0 for axis in self.axes):
             raise ValueError("a grid needs one or more non-empty 1-D coordinate axes")
+        if not all(np.all(np.isfinite(axis)) for axis in self.axes):
+            raise ValueError("grid coordinates must be finite")
 
     @property
     def shape(self):
@@ -588,9 +641,10 @@ class ApproxDensity:
 
     Evaluates [sum_tau a_tau prod_k psi_{tau_k}(theta_k)]^2 / total_energy
     through the Hermite-function recurrence, so it stays finite for any
-    coordinate magnitude. Calling convention: a 1-D array is one point, a
-    2-D array is a batch of row points, and a GridPoints is the batch of its
-    points, evaluated per axis. ``grid`` returns the latter in grid shape.
+    finite coordinate; a non-finite one raises ValueError. Calling
+    convention: a 1-D array is one point, a 2-D array is a batch of row
+    points, and a GridPoints is the batch of its points, evaluated per axis.
+    ``grid`` returns the latter in grid shape.
     """
 
     coefficients: CoefficientSet
@@ -615,6 +669,8 @@ class ApproxDensity:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != cs.dim:
             raise ValueError(f"points must have {cs.dim} columns, got {pts.shape[1]}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
         box, chunk = self._box()
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], chunk):

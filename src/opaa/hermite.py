@@ -43,14 +43,23 @@ def _recurrence(points, max_degree, seed):
     return rows
 
 
+def _psi_recurrence(points, max_degree):
+    # psi_0 = pi^{-1/4} e^{-x^2/2} underflows to 0 far below |x| = 1e150, and
+    # every psi_d with it; clipping there keeps x^2 and the recurrence's
+    # products finite (no overflow warning, no inf * 0 = nan)
+    points = np.clip(points, -1e150, 1e150)
+    return _recurrence(points, max_degree, _H0 * np.exp(-0.5 * points**2))
+
+
 def _eval(n, x, gaussian_seed):
     n = as_int(n, "degree", 0)
     pts = np.asarray(x, dtype=float)
-    seed = _H0 * np.exp(-0.5 * pts**2) if gaussian_seed else np.full_like(pts, _H0)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
-    seed = np.atleast_1d(seed)
-    row = _recurrence(pts, n, seed)[n]
+    if gaussian_seed:
+        row = _psi_recurrence(pts, n)[n]
+    else:
+        row = _recurrence(pts, n, np.full_like(pts, _H0))[n]
     return float(row[0]) if scalar else row
 
 
@@ -128,4 +137,4 @@ def psi_table(max_degree, points):
     pts = np.asarray(points, dtype=float).reshape(-1)
     if pts.size == 0:
         raise ValueError("points must be non-empty")
-    return _recurrence(pts, max_degree, _H0 * np.exp(-0.5 * pts**2))
+    return _psi_recurrence(pts, max_degree)

@@ -1,12 +1,16 @@
 """Built-in target densities: isotropic Gaussian, planted transforms, GMM joints.
 
 Every model implements the :class:`~opaa.core.TargetDensity` interface with a
-vectorized ``log_density_batch``. ``from_config`` builds any of them from the
-JSON model-config mapping the CLI reads.
+vectorized ``log_density_batch``, and a ``log_density_grid`` that computes
+each per-axis term once per grid coordinate and combines the terms by
+broadcasting, in the order the batch combines its columns, so both return
+the same bits. ``from_config`` builds any of them from the JSON model-config
+mapping the CLI reads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -53,6 +57,11 @@ class GaussianIdentity(TargetDensity):
         pts = np.asarray(points, dtype=float)
         return -0.5 * self.dim * np.log(np.pi) - np.sum(pts**2, axis=1)
 
+    def log_density_grid(self, grid):
+        # the squares added axis by axis, as np.sum adds a column-major batch
+        squares = functools.reduce(np.add.outer, [axis**2 for axis in grid.axes])
+        return -0.5 * self.dim * np.log(np.pi) - squares.reshape(-1)
+
 
 class PlantedDensity(TargetDensity):
     """P(theta) = q(theta)^2 * prod_j e^{-theta_j^2} for a known combination q.
@@ -79,18 +88,25 @@ class PlantedDensity(TargetDensity):
         self.max_degree = max(max(tau) for tau in cleaned)
 
     def bracket(self, points):
-        """sum c_tau prod_k psi_{tau_k} at each row point: sign(q) times sqrt(P)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tables = [
-            hermite.psi_table(self.max_degree, pts[:, k]) for k in range(self.dim)
-        ]
-        s = np.zeros(pts.shape[0])
+        """sum c_tau prod_k psi_{tau_k} at each point: sign(q) times sqrt(P).
+
+        Takes row points or a GridPoints. A grid's psi tables are built on
+        its axes and its products formed by broadcasting, the same
+        operations in the same order, so the values are those of its
+        point batch.
+        """
+        if isinstance(points, GridPoints):
+            axes, multiply = points.axes, np.multiply.outer
+        else:
+            axes, multiply = np.atleast_2d(np.asarray(points, dtype=float)).T, np.multiply
+        tables = [hermite.psi_table(self.max_degree, axis) for axis in axes]
+        s = 0.0
         for tau, c in self.coeffs.items():
             term = c * tables[0][tau[0]]
             for k in range(1, self.dim):
-                term = term * tables[k][tau[k]]
-            s += term
-        return s
+                term = multiply(term, tables[k][tau[k]])
+            s = s + term
+        return s.reshape(-1)
 
     def log_density(self, theta):
         return float(self.log_density_batch(np.atleast_2d(theta))[0])
@@ -99,6 +115,9 @@ class PlantedDensity(TargetDensity):
         s = self.bracket(points)
         with np.errstate(divide="ignore"):
             return 2.0 * np.log(np.abs(s))
+
+    # bracket evaluates a GridPoints per axis
+    log_density_grid = log_density_batch
 
     def bracket_minimum(self, half_range, points_per_axis=None):
         """Minimum of the bracket over a dense symmetric grid [-h, h]^dim.
@@ -149,19 +168,27 @@ def _gmm_log_joint_batch(model, mus):
         raise ValueError(
             f"mean vectors must have {model.clusters} entries, got {mus.shape[1]}"
         )
+    return _gmm_log_joint(model, mus.T, np.add, np.logaddexp)
+
+
+def _gmm_log_joint(model, means, add, logaddexp):
+    """The log joint from one coordinate vector per cluster mean.
+
+    With the ufuncs themselves the k-th vectors hold the k-th coordinates of
+    row points; with their ``.outer`` they are a grid's axes, every per-axis
+    term is computed once per coordinate and the result is the grid's
+    values, flattened theta1-major. The cluster terms are added, and the
+    mixture folded (the left fold np.logaddexp.reduce makes), cluster by
+    cluster in both cases.
+    """
     sp, so = model.prior_sigma, model.obs_sigma
-    out = np.sum(
-        -0.5 * (mus / sp) ** 2 - np.log(sp) - 0.5 * _LOG_2PI, axis=1
-    )
+    prior = [-0.5 * (m / sp) ** 2 - np.log(sp) - 0.5 * _LOG_2PI for m in means]
+    out = functools.reduce(add, prior)
     log_k = np.log(model.clusters)
     for x in model.observations:
-        comp = -0.5 * ((x - mus) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI
-        # the left fold logaddexp.reduce(comp, axis=1) makes, a column at a time
-        mix = comp[:, 0]
-        for k in range(1, model.clusters):
-            mix = np.logaddexp(mix, comp[:, k])
-        out += mix - log_k
-    return out
+        comp = [-0.5 * ((x - m) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI for m in means]
+        out += functools.reduce(logaddexp, comp) - log_k
+    return out.reshape(-1)
 
 
 def gmm_log_joint(model, mu):
@@ -186,6 +213,9 @@ class GmmJointDensity(TargetDensity):
 
     def log_density_batch(self, points):
         return _gmm_log_joint_batch(self.model, points)
+
+    def log_density_grid(self, grid):
+        return _gmm_log_joint(self.model, grid.axes, np.add.outer, np.logaddexp.outer)
 
 
 def gmm_sample_dataset(clusters, prior_sigma, obs_sigma, n, seed):

@@ -1,5 +1,9 @@
+import functools
 import itertools
 import math
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +171,63 @@ def test_non_finite_target_is_reported():
     assert "np." not in message
 
 
+class _PerAxisSpike(TargetDensity):
+    """-|theta|^2 computed per axis, +inf where theta_0 is a spike coordinate.
+
+    A slab whose first axis holds ``slow`` sleeps first, so that with two
+    threads a later slab can fail before it.
+    """
+
+    def __init__(self, dim, spikes, slow=None, shape=None):
+        self.dim = dim
+        self._spikes = spikes
+        self._slow = slow
+        self._shape = shape
+
+    def log_density_grid(self, grid):
+        first = grid.axes[0]
+        if self._slow is not None and self._slow in first:
+            time.sleep(0.05)
+        values = functools.reduce(np.add.outer, [-(axis**2) for axis in grid.axes])
+        values[np.isin(first, self._spikes)] = np.inf
+        return values.reshape(-1 if self._shape is None else self._shape)
+
+
+def test_non_finite_grid_value_names_the_mapped_point():
+    # the override's grid is the mapped nodes: on order 3 the spike at
+    # 2 * 0 + 5 = 5.0 is first met next to the lowest node of axis 1
+    amap = AffineMap(scale=[2.0, 1.0], shift=[5.0, 0.0])
+    with pytest.raises(NumericalDomainError) as err:
+        run_opaa(_PerAxisSpike(2, [5.0]), 3, precondition=amap, workers=1)
+    low = float(gauss_hermite(3).nodes[0])
+    assert str(err.value) == f"non-finite integrand at node {(5.0, low)}: log density inf"
+
+
+def test_log_density_grid_of_the_wrong_shape_is_refused(monkeypatch):
+    # every one of the 12 slabs returns a 2-D array: one ValueError names
+    # the method, for any worker count
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 12)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"^log_density_grid returned shape \(1, 12\)"):
+            run_opaa(_PerAxisSpike(2, [], shape=(1, -1)), 12, workers=workers)
+
+
+def test_failure_is_the_same_for_any_worker_count(monkeypatch):
+    # one row per slab, non-finite in slabs 3 and 8; slab 3 is slow, so a
+    # second thread meets slab 8's failure first, yet slab 3's is raised
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 12)
+    nodes = gauss_hermite(12).nodes
+    target = _PerAxisSpike(2, nodes[[3, 8]], slow=nodes[3])
+    messages = set()
+    for workers in (1, 2, 2, 2, 8):
+        with pytest.raises(NumericalDomainError) as err:
+            run_opaa(target, 12, workers=workers)
+        messages.add(str(err.value))
+    assert messages == {
+        f"non-finite integrand at node {(float(nodes[3]), float(nodes[0]))}: log density inf"
+    }
+
+
 def test_generic_batch_fallback():
     class Slow(TargetDensity):
         dim = 2
@@ -217,9 +278,18 @@ def test_run_rejects_bad_arguments(planted_1d):
     with pytest.raises(ValueError):
         run_opaa(planted_1d, 6, workers=0)
     # an infinite tol used to stop at degree 1 and claim convergence
-    for tol in (math.inf, math.nan):
+    for tol in (math.inf, math.nan, np.float32(math.inf), np.bool_(True)):
         with pytest.raises(ValueError):
             run_opaa(planted_1d, 6, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.float32(1e-3), np.float16(1e-3), np.longdouble(1e-3)])
+def test_run_accepts_a_numpy_real_tol(planted_1d, tol):
+    # a numpy float32 tol used to be refused as "not finite and > 0"
+    result = run_opaa(planted_1d, 8, tol=tol, workers=1)
+    plain = run_opaa(planted_1d, 8, tol=float(tol), workers=1)
+    assert result.coefficients.values.tobytes() == plain.coefficients.values.tobytes()
+    assert result.stop_reason == plain.stop_reason == "shell_tolerance"
 
 
 def test_degenerate_target_raises():
@@ -262,6 +332,30 @@ def test_multi_slab_matches_single_slab(monkeypatch):
         assert other.evidence == runs[0].evidence
 
 
+def test_every_slab_is_taken_once_under_frequent_thread_switches(monkeypatch):
+    # 24 one-row slabs shared by 8 threads (more than the cores) switching
+    # every microsecond: each slab must be evaluated exactly once, and the
+    # bits must be those of one worker
+    class Recording(opaa.GaussianIdentity):
+        def log_density_grid(self, grid):
+            firsts.append(float(grid.axes[0][0]))
+            return super().log_density_grid(grid)
+
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 1)
+    firsts = []
+    single = run_opaa(Recording(3), 24, max_degree=6, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            firsts.clear()
+            run = run_opaa(Recording(3), 24, max_degree=6, workers=8)
+            assert sorted(firsts) == gauss_hermite(24).nodes.tolist()
+            assert run.coefficients.values.tobytes() == single.coefficients.values.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class _RowMajor(TargetDensity):
     """Hands its target a C-ordered copy of each batch the engine passes."""
 
@@ -293,6 +387,21 @@ class _RowMajor(TargetDensity):
             id="gmm-2-clusters",
         ),
         pytest.param(
+            # 32^3 points in two slabs of 16 rows
+            opaa.GmmJointDensity(
+                opaa.GmmModel(
+                    clusters=3,
+                    prior_sigma=10.0,
+                    obs_sigma=1.0,
+                    observations=(-7.0, -1.0, 0.5, 6.0),
+                )
+            ),
+            32,
+            AffineMap(scale=[2.5] * 3, shift=[-1.0, 0.0, 1.0]),
+            30,
+            id="gmm-3-clusters",
+        ),
+        pytest.param(
             opaa.GaussianIdentity(4),
             16,
             AffineMap(scale=[0.8] * 4, shift=[0.3] * 4),
@@ -302,8 +411,10 @@ class _RowMajor(TargetDensity):
     ],
 )
 def test_point_layout_changes_no_bits(target, order, amap, max_degree):
-    # the engine passes column-major batches; the same rows in row-major
-    # memory give the same coefficients and evidence, bit for bit
+    # the bare built-in is evaluated per axis by its log_density_grid; the
+    # wrapper takes the default, the grid's column-major batch, and hands
+    # its target the same rows in row-major memory: the coefficients and
+    # the evidence are the same bit for bit
     bare = run_opaa(target, order, max_degree=max_degree, precondition=amap, workers=2)
     wrapped = _RowMajor(target)
     copied = run_opaa(wrapped, order, max_degree=max_degree, precondition=amap, workers=2)
@@ -311,6 +422,27 @@ def test_point_layout_changes_no_bits(target, order, amap, max_degree):
     assert np.array_equal(copied.coefficients.taus, bare.coefficients.taus)
     assert copied.coefficients.values.tobytes() == bare.coefficients.values.tobytes()
     assert copied.evidence == bare.evidence
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        opaa.GaussianIdentity(3),
+        opaa.GmmJointDensity(
+            opaa.GmmModel(clusters=3, prior_sigma=10.0, obs_sigma=1.0, observations=(1.0,))
+        ),
+    ],
+    ids=["identity", "gmm"],
+)
+def test_engine_evaluates_built_ins_per_axis(monkeypatch, target):
+    # no batch of points is built for a built-in target, on any slab
+    def refuse(self, points):
+        raise AssertionError("the engine built a point batch")
+
+    monkeypatch.setattr(type(target), "log_density_batch", refuse)
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 100)
+    for workers in (1, 2):
+        assert run_opaa(target, 10, max_degree=4, workers=workers).evidence > 0
 
 
 def test_aliased_degrees_are_never_summed():
@@ -645,6 +777,28 @@ def test_density_single_point_convention():
     assert value == pytest.approx(density(np.array([[0.3, -0.2]]))[0])
     with pytest.raises(ValueError):
         density(np.array([[0.1, 0.2, 0.3]]))
+
+
+def test_density_refuses_non_finite_coordinates():
+    # these used to return nan, with a RuntimeWarning for inf
+    density = build_density(
+        CoefficientSet.from_pairs(dim=2, quad_order=None, pairs=[((0, 0), 1.0), ((1, 0), 0.5)])
+    )
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            density(np.array([[bad, 0.0]]))
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            density(np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="grid coordinates must be finite"):
+            density(GridPoints(([bad], [0.0])))
+        with pytest.raises(ValueError, match="grid coordinates must be finite"):
+            density.grid([[0.0, 1.0], [0.5, bad]])
+    # at huge finite coordinates the density is 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density(np.array([1e200, 0.0])) == 0.0
+        assert np.array_equal(density(np.array([[0.0, -1.5e308]])), [0.0])
+        assert np.array_equal(density.grid([[1e200], [0.0, 1e300]]), [[0.0, 0.0]])
 
 
 def test_density_mass_is_one(planted_1d):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.polynomial.hermite as nph
@@ -68,6 +69,18 @@ def test_psi_at_origin():
 
 def test_psi_far_tail_underflows_cleanly():
     assert abs(eval_psi(5, 100.0)) <= 1e-300
+
+
+def test_psi_at_huge_finite_coordinates_is_zero_without_warnings():
+    # x^2 used to overflow with a RuntimeWarning at 1e200, and past
+    # max_float / sqrt(2) the recurrence formed inf * 0 = nan
+    xs = np.array([1e200, -1e200, 1.5e308, -np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = psi_table(5, xs)
+        assert eval_psi(3, 1e200) == 0.0
+        assert np.array_equal(eval_psi(4, xs), np.zeros(4))
+    assert np.array_equal(table, np.zeros((6, 4)))
 
 
 def test_psi_equals_h_times_gaussian_at_moderate_x():

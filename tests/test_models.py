@@ -155,6 +155,47 @@ def test_log_density_batch_ignores_memory_order(target):
     assert row_major.tobytes() == column_major.tobytes()
 
 
+GRID_TARGETS = (
+    [pytest.param(GaussianIdentity(d), id=f"identity-{d}") for d in range(1, 10)]
+    + [
+        pytest.param(
+            PlantedDensity(d, {(0,) * d: 1.0, (1,) * d: 0.3, (2,) + (0,) * (d - 1): -0.2}),
+            id=f"planted-{d}",
+        )
+        for d in range(1, 4)
+    ]
+    + [
+        pytest.param(
+            GmmJointDensity(
+                GmmModel(clusters=k, prior_sigma=10.0, obs_sigma=1.0, observations=obs)
+            ),
+            id=f"gmm-{k}-obs-{len(obs)}",
+        )
+        for k in range(1, 8)
+        for obs in ((), (2.5,), (-6.0, -1.5, 0.4, 3.0, 7.7))
+    ]
+)
+
+
+@pytest.mark.parametrize("target", GRID_TARGETS)
+def test_log_density_grid_is_the_batch_of_its_points(target):
+    # a built-in's per-axis evaluation returns the bits of its batch code on
+    # the grid's column-major point batch; axes of unequal lengths catch a
+    # transposed or misordered broadcast
+    rng = np.random.default_rng(target.dim)
+    axes = [rng.normal(0.0, 4.0, 2 + k % 3) for k in range(target.dim)]
+    grid = opaa.GridPoints(axes)
+    values = target.log_density_grid(grid)
+    assert values.shape == (math.prod(grid.shape),)
+    assert values.tobytes() == target.log_density_batch(np.asarray(grid)).tobytes()
+
+
+def test_planted_bracket_on_a_grid():
+    target = PlantedDensity(2, {(0, 0): 1.0, (1, 2): 0.4, (3, 0): -0.3})
+    grid = opaa.GridPoints([np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 1.0, 4)])
+    assert target.bracket(grid).tobytes() == target.bracket(np.asarray(grid)).tobytes()
+
+
 def test_gmm_log_joint_prior_only():
     model = GmmModel(clusters=1, prior_sigma=1.0, obs_sigma=1.0, observations=())
     assert gmm_log_joint(model, np.array([0.0])) == pytest.approx(
