@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-from .core import AffineMap, CoefficientSet, build_density, run_opaa
+from .core import AffineMap, CoefficientSet, build_density, check_capacity, run_opaa
+from .errors import JSON_NUMBER_TYPES
 from .models import GmmJointDensity, from_config, load_config
 from .oracle import BoxSpec, check_gmm_box, integrate_box_refined
 from .quadrature import MAX_ORDER, gauss_hermite, weight_multiset_stats
@@ -39,8 +40,6 @@ __all__ = [
 
 COEFFICIENTS_NAME = "coefficients.jsonl"
 SUMMARY_NAME = "summary.json"
-_JSON_INTEGER = frozenset({int})
-_JSON_NUMBER = frozenset({int, float})
 
 
 def _g17(value):
@@ -79,12 +78,13 @@ def load_coefficients(path):
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad coefficient line: {exc}") from exc
-            if type(entry["a"]) not in _JSON_NUMBER:
+            # type checks in C, once per line: a JSON integer parses to
+            # exactly int
+            if type(entry["a"]) not in JSON_NUMBER_TYPES:
                 raise ValueError(
                     f"{path}:{lineno}: coefficient is not a JSON number: {entry['a']!r}"
                 )
-            # a JSON integer parses to exactly int (true and false to bool)
-            if not tau or not _JSON_INTEGER.issuperset(map(type, tau)):
+            if not tau or not {int}.issuperset(map(type, tau)):
                 raise ValueError(
                     f"{path}:{lineno}: multi-index is not a non-empty list of "
                     f"integers: {entry['tau']!r}"
@@ -196,6 +196,8 @@ def _cmd_density_grid(args):
         raise ValueError(f"--range needs LO < HI, got {args.range!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
+    # the output's cap, checked before the axis is built
+    check_capacity(args.points**coeffs.dim, "density grid needs an array of")
     axis = np.linspace(lo, hi, args.points)
     vals = density.grid([axis] * coeffs.dim)
     # each coordinate is formatted once: as the theta1 prefix of its row of

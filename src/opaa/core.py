@@ -21,12 +21,13 @@ grid shape and BLOCK_SIZE. Each slab hands the target its tensor grid of
 mapped nodes (``TargetDensity.log_density_grid``), contracts its full axes
 with the (node x degree) projection matrix and writes the result into its
 own rows of one store; once every slab is in, the leading axis is
-contracted in one call. The calling thread and ``workers - 1`` helper
-threads take slabs in increasing order from one shared queue. No slab's
-rows depend on another slab or on which thread computed them, so results
-are reproducible bit for bit for any worker count; and since a thread
-stops at its own first failing slab, the lowest failing slab is always
-evaluated and its error is the one raised, as on one worker.
+contracted in one call. Thread t of min(workers, slabs) takes slabs t,
+t + threads, ... in increasing order, the calling thread being thread 0, so
+a one-slab grid starts no helper. No slab's rows depend on another slab or
+on which thread computed them, so results are reproducible bit for bit for
+any worker count; and since a thread stops at its own first failing slab,
+the lowest failing slab is always evaluated and its error is the one
+raised, as on one worker.
 """
 
 from __future__ import annotations
@@ -368,14 +369,16 @@ def _box_extent(grid, max_degree):
     return degree, min(degree, top) + 1
 
 
+def check_capacity(entries, what):
+    """CapacityError, worded '<what> <entries> entries, above the cap', if
+    an array of that many entries exceeds TENSOR_VALUE_LIMIT."""
+    if entries > TENSOR_VALUE_LIMIT:
+        raise CapacityError(f"{what} {entries} entries, above the {TENSOR_VALUE_LIMIT} cap")
+
+
 def _zero_box(shape):
     """A zero coefficient box of the given shape, refused above the cap."""
-    entries = math.prod(shape)
-    if entries > TENSOR_VALUE_LIMIT:
-        raise CapacityError(
-            f"coefficient box of shape {shape} has {entries} entries, above the "
-            f"{TENSOR_VALUE_LIMIT} cap"
-        )
+    check_capacity(math.prod(shape), f"coefficient box of shape {shape} has")
     return np.zeros(shape)
 
 
@@ -386,8 +389,10 @@ def _project(target, grid, table, size, workers, amap):
     map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
     contracts its full axes into its own rows of an (order, size, ..., size)
     store, whose leading axis is contracted once after the last slab.
-    The calling thread and up to workers - 1 helpers take the slabs in
-    increasing order; on failure the lowest failing slab's error is raised.
+    Thread t of min(workers, slabs) takes slabs t, t + threads, ... in
+    increasing order, the caller being thread 0. A thread stops at its
+    first failing slab; the lowest failing slab is always reached, and its
+    error is raised.
     """
     dim, order = grid.dim, grid.rule.order
     store = _zero_box((order,) + (size,) * (dim - 1))
@@ -395,8 +400,7 @@ def _project(target, grid, table, size, workers, amap):
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
     step = max(1, BLOCK_SIZE // order ** (dim - 1))
     slabs = range(0, order, step)
-    queue = iter(slabs)
-    lock = threading.Lock()
+    threads = min(workers, len(slabs))
     failures = []
 
     def fill(lo):
@@ -407,25 +411,18 @@ def _project(target, grid, table, size, workers, amap):
         rows = np.moveaxis(values.reshape(points.shape), 0, -1)
         store[lo : lo + step] = _contract_axes(rows, [proj] * (dim - 1))
 
-    def work():
-        # slabs leave the queue in increasing order and a thread stops only
-        # at a failing slab, so the lowest failing slab is always taken and
-        # its error is always among the failures
-        while True:
-            with lock:
-                lo = next(queue, None)
-            if lo is None:
-                return
+    def work(t):
+        for lo in slabs[t::threads]:
             try:
                 fill(lo)
             except Exception as exc:
                 failures.append((lo, exc))
                 return
 
-    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(slabs)) - 1)]
+    helpers = [threading.Thread(target=work, args=(t,)) for t in range(1, threads)]
     for helper in helpers:
         helper.start()
-    work()
+    work(0)
     for helper in helpers:
         helper.join()
     if failures:
@@ -530,14 +527,16 @@ def run_opaa(
         Change of variables theta = scale * r + shift, applied to the
         per-axis quadrature nodes r; preserves the evidence.
     workers : int, optional
-        Threads that evaluate grid slabs: the calling thread plus
-        ``workers - 1`` helpers, each taking the next slab in increasing
-        order (default: available parallelism, capped by the
-        OPAA_MAX_WORKERS environment variable). The slab partition depends
-        only on the grid shape, each slab fills its own rows and the
-        leading axis is contracted once, so the result is bitwise identical
-        for any worker count. If slabs fail, the error of the lowest
-        failing slab is raised, the one a single worker meets first.
+        Threads that evaluate grid slabs (default: available parallelism,
+        capped by the OPAA_MAX_WORKERS environment variable). The calling
+        thread and up to ``workers - 1`` helpers share the slabs, thread t
+        of min(workers, slabs) taking slabs t, t + threads, ... in
+        increasing order; a grid of at most BLOCK_SIZE points is one slab,
+        run on the calling thread alone. The slab partition depends only
+        on the grid shape, each slab fills its own rows and the leading
+        axis is contracted once, so the result is bitwise identical for
+        any worker count. If slabs fail, the error of the lowest failing
+        slab is raised, the one a single worker meets first.
 
     Raises
     ------
@@ -702,11 +701,7 @@ class ApproxDensity:
             extent ** (cs.dim - 1 - k) * math.prod(n[1 : k + 1]) for k in range(cs.dim)
         ]
         largest = max(*per_row, math.prod(n), *(extent * axis.size for axis in rest))
-        if largest > TENSOR_VALUE_LIMIT:
-            raise CapacityError(
-                f"density grid needs an array of {largest} entries, above the "
-                f"{TENSOR_VALUE_LIMIT} cap"
-            )
+        check_capacity(largest, "density grid needs an array of")
         rows = max(1, _CHUNK_ENTRIES // max(per_row))
         tables = [hermite.psi_table(extent - 1, axis) for axis in rest]
         out = np.empty(n)

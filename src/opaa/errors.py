@@ -1,4 +1,4 @@
-"""Error types and the integer-argument check shared across the package.
+"""Error types and the integer and number checks shared across the package.
 
 Plain ``ValueError`` is used for invalid arguments; the classes here mark
 conditions a caller may want to handle specially.
@@ -14,6 +14,15 @@ def is_int(value):
     True for 1 and False for 0.
     """
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# the types json.loads gives a number (true and false parse to bool)
+JSON_NUMBER_TYPES = frozenset({int, float})
+
+
+def is_number(value):
+    """True for a JSON number as json.loads returns it: an int or a float."""
+    return type(value) in JSON_NUMBER_TYPES
 
 
 def as_int(value, name, minimum):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hermite
 from .core import GridPoints, TargetDensity
-from .errors import as_int
+from .errors import as_int, is_number
 
 __all__ = [
     "GaussianIdentity",
@@ -81,7 +81,10 @@ class PlantedDensity(TargetDensity):
             tau = tuple(as_int(v, "multi-index entry", 0) for v in tau)
             if len(tau) != self.dim:
                 raise ValueError(f"invalid multi-index {tau} for dimension {dim}")
-            cleaned[tau] = float(c)
+            c = float(c)
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient of multi-index {tau} must be finite, got {c!r}")
+            cleaned[tau] = c
         if not cleaned:
             raise ValueError("coeffs must be non-empty")
         self.coeffs = cleaned
@@ -265,11 +268,15 @@ def from_config(config):
         for entry in entries:
             if not isinstance(entry, dict) or not isinstance(entry.get("tau"), list):
                 raise ValueError(f"planted coeff entries need a 'tau' list and a 'c': {entry!r}")
-            coeffs[tuple(entry["tau"])] = _number(entry, "c")
+            # checked before hashing: a list entry would be unhashable
+            tau = tuple(as_int(v, "multi-index entry", 0) for v in entry["tau"])
+            if tau in coeffs:
+                raise ValueError(f"planted config repeats multi-index {tau}")
+            coeffs[tau] = _number(entry, "c")
         return PlantedDensity(dim=_require(config, "dim"), coeffs=coeffs)
     if kind == "gmm":
         observations = config.get("observations", [])
-        if not isinstance(observations, list) or not all(map(_is_number, observations)):
+        if not isinstance(observations, list) or not all(map(is_number, observations)):
             raise ValueError(
                 f"model config 'observations' must be a list of numbers, got {observations!r}"
             )
@@ -289,14 +296,13 @@ def _require(config, key):
     return config[key]
 
 
-def _is_number(value):
-    """True for a JSON number: not a string, bool or null."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(config, key):
     """A required JSON number as a float."""
     value = _require(config, key)
-    if not _is_number(value):
+    if not is_number(value):
         raise ValueError(f"model config {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # a JSON integer of 309 or more digits
+        raise ValueError(f"model config {key!r} is too large for a float") from None

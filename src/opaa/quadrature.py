@@ -175,12 +175,7 @@ class TensorGrid:
         return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
 
     def block_ranges(self, block_size):
-        """Contiguous (start, stop) linear ranges covering the whole grid.
-
-        The partition depends only on block_size, never on how many workers
-        consume it, so reductions combined in ascending range order are
-        reproducible for any worker count.
-        """
+        """Contiguous (start, stop) linear ranges covering the whole grid."""
         block_size = as_int(block_size, "block_size", 1)
         total = self.total_count
         return [

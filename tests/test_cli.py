@@ -162,6 +162,11 @@ def test_approximate_missing_and_malformed_config(tmp_path, capsys):
         {**PLANTED_1D, "coeffs": [{"tau": 5, "c": 1.0}]},
         {**GMM_CONJUGATE, "observations": ["1.5"]},
         {**GMM_CONJUGATE, "observations": {"a": 1}},
+        {**PLANTED_1D, "coeffs": [{"tau": [[1]], "c": 1.0}]},
+        {**PLANTED_1D, "coeffs": [{"tau": [{"a": 1}], "c": 1.0}]},
+        {**PLANTED_1D, "coeffs": [{"tau": [0], "c": 1.0}, {"tau": [0], "c": 5.0}]},
+        {**PLANTED_1D, "coeffs": [{"tau": [0], "c": 10**400}]},
+        {**GMM_CONJUGATE, "prior_sigma": 10**400},
     ],
     ids=[
         "dim-null",
@@ -171,16 +176,36 @@ def test_approximate_missing_and_malformed_config(tmp_path, capsys):
         "tau-int",
         "observations-string",
         "observations-mapping",
+        "tau-list-entry",
+        "tau-mapping-entry",
+        "tau-repeated",
+        "c-huge-integer",
+        "prior_sigma-huge-integer",
     ],
 )
 def test_malformed_config_fails_with_one_line(tmp_path, capsys, config):
     # each used to escape main as a TypeError traceback, except the string
-    # sigma and the string observation, which float() accepted
+    # sigma and the string observation, which float() accepted, the
+    # repeated tau, whose last c was kept (evidence 25), and the huge
+    # integers, which escaped as an OverflowError
     model = write_config(tmp_path, config)
     args = ["approximate", "--model", model, "--order", "4", "--output-dir", str(tmp_path)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c, text", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+def test_non_finite_planted_coefficient_fails_with_one_line(tmp_path, capsys, c, text):
+    # JSON's NaN and Infinity read as floats; the run used to fail later
+    # with a non-finite integrand at some node
+    model = tmp_path / "model.json"
+    config = {**PLANTED_1D, "coeffs": [{"tau": [0], "c": 1.0}, {"tau": [2], "c": "x"}]}
+    model.write_text(json.dumps(config).replace('"x"', c))
+    args = ["approximate", "--model", str(model), "--order", "4", "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: coefficient of multi-index (2,) must be finite, got {text}\n"
 
 
 @pytest.mark.parametrize("key", ["prior_sigma", "obs_sigma"])
@@ -362,6 +387,28 @@ def test_density_grid_argument_validation(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line, points",
+    [('{"tau": [0], "a": 1.0}', 10**12), ('{"tau": [0, 0], "a": 1.0}', 10**6)],
+    ids=["1d", "2d"],
+)
+def test_density_grid_refuses_too_many_points_before_building_the_axis(
+    tmp_path, capsys, line, points
+):
+    # the 10^12-point axis alone would need 8 TB: it used to raise a
+    # MemoryError traceback (and 2 * 10^8 points built a 1.6 GB axis)
+    path = tmp_path / "coefficients.jsonl"
+    path.write_text(line + "\n")
+    args = ["density-grid", "--coefficients", str(path), "--range=-2:2"]
+    assert main([*args, "--points", str(points)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: density grid needs an array of 1000000000000 entries, above the "
+        "100000000 cap\n"
+    )
 
 
 @pytest.mark.parametrize("bound", ["-inf:4", "-4:inf", "nan:4", "a:1", "1:", ":"])

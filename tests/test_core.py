@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 import time
 import warnings
 
@@ -333,9 +334,9 @@ def test_multi_slab_matches_single_slab(monkeypatch):
 
 
 def test_every_slab_is_taken_once_under_frequent_thread_switches(monkeypatch):
-    # 24 one-row slabs shared by 8 threads (more than the cores) switching
-    # every microsecond: each slab must be evaluated exactly once, and the
-    # bits must be those of one worker
+    # 24 one-row slabs shared by more threads than cores, switching every
+    # microsecond, by counts that do and do not divide 24: each slab must be
+    # evaluated exactly once, and the bits must be those of one worker
     class Recording(opaa.GaussianIdentity):
         def log_density_grid(self, grid):
             firsts.append(float(grid.axes[0][0]))
@@ -347,13 +348,33 @@ def test_every_slab_is_taken_once_under_frequent_thread_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
+        for workers in (5, 7, 8, 8, 8):
             firsts.clear()
-            run = run_opaa(Recording(3), 24, max_degree=6, workers=8)
+            run = run_opaa(Recording(3), 24, max_degree=6, workers=workers)
             assert sorted(firsts) == gauss_hermite(24).nodes.tolist()
             assert run.coefficients.values.tobytes() == single.coefficients.values.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_helper_threads_follow_the_slab_count(monkeypatch, workers):
+    # 3-D order 25 has 15,625 points, one BLOCK_SIZE slab: it runs on the
+    # calling thread alone; order 32's 32,768 points are two slabs, so one
+    # helper starts if there are two workers or more
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(opaa.core.threading, "Thread", Counting)
+    target = opaa.GaussianIdentity(3)
+    assert run_opaa(target, 25, max_degree=4, workers=workers).evidence > 0
+    assert started == []
+    assert run_opaa(target, 32, max_degree=4, workers=workers).evidence > 0
+    assert len(started) == min(workers, 2) - 1
 
 
 class _RowMajor(TargetDensity):

@@ -77,6 +77,8 @@ def test_planted_validation():
         PlantedDensity(1, {(0, 0): 1.0})
     with pytest.raises(ValueError):
         PlantedDensity(1, {(-1,): 1.0})
+    with pytest.raises(ValueError, match=r"^coefficient of multi-index \(0,\) must be finite"):
+        PlantedDensity(1, {(0,): np.nan})
 
 
 def test_gmm_model_validation():
