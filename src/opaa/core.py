@@ -151,13 +151,15 @@ class AffineMap:
 
     def pull_back(self, target):
         """The target re-expressed in map coordinates, integral preserved."""
-        _check_map(self, target)
+        check_dimension(target.dim, self.dim, "map")
         return _PulledBackTarget(target, self)
 
 
-def _check_map(amap, target):
-    if target.dim != amap.dim:
-        raise ValueError(f"map dimension {amap.dim} != target dimension {target.dim}")
+def check_dimension(dim, got, what):
+    """ValueError '<what> dimension <got> != target dimension <dim>' unless
+    the two agree."""
+    if got != dim:
+        raise ValueError(f"{what} dimension {got} != target dimension {dim}")
 
 
 class _PulledBackTarget(TargetDensity):
@@ -325,11 +327,6 @@ def _check_table(grid, table, needed_degree):
         raise ValueError("table must be built on the rule's raw nodes")
 
 
-def _check_target(target, grid):
-    if target.dim != grid.dim:
-        raise ValueError(f"target dimension {target.dim} != grid dimension {grid.dim}")
-
-
 def coefficient_naive(target, grid, table, tau):
     """Single transform coefficient by a plain sum over every grid point.
 
@@ -342,7 +339,7 @@ def coefficient_naive(target, grid, table, tau):
     tau = tuple(as_int(v, "multi-index entry", 0) for v in tau)
     if len(tau) != grid.dim:
         raise ValueError(f"invalid multi-index {tau} for dimension {grid.dim}")
-    _check_target(target, grid)
+    check_dimension(target.dim, grid.dim, "grid")
     _check_table(grid, table, max(tau))
     lifted = _lifted_weights(grid.rule)
     rows = np.asarray(tau)
@@ -471,7 +468,7 @@ def coefficients_contracted(target, grid, table, max_degree):
     TENSOR_VALUE_LIMIT entries.
     """
     max_degree = as_int(max_degree, "max_degree", 0)
-    _check_target(target, grid)
+    check_dimension(target.dim, grid.dim, "grid")
     return _solve(target, grid, table, max_degree, 1, AffineMap.identity(grid.dim))
 
 
@@ -555,9 +552,8 @@ def run_opaa(
     rule = gauss_hermite(quad_order)
     grid = TensorGrid(rule, target.dim)
     amap = AffineMap.identity(grid.dim) if precondition is None else precondition
-    _check_map(amap, target)
-    table = hermite.build_table(min(max_degree, rule.order - 1), rule.nodes)
-    coeffs = _solve(target, grid, table, max_degree, workers, amap)
+    check_dimension(target.dim, amap.dim, "map")
+    coeffs = _solve(target, grid, rule.table, max_degree, workers, amap)
     energy = np.array(coeffs.shell_energy)
     quiet = energy <= tol * np.cumsum(energy)
     hits = np.flatnonzero(quiet[1:] & quiet[:-1])
@@ -741,7 +737,8 @@ class ApproxDensity:
         cs = self.coefficients
         box, _ = self._box()
         rule = gauss_hermite(box.shape[0] if quad_order is None else quad_order)
-        table = hermite.build_table(box.shape[0] - 1, rule.nodes).values
+        # the rule's own table, grown only for an order below the box extent
+        table = hermite.extend_table(rule.table, box.shape[0] - 1).values[: box.shape[0]]
         gram = (table * rule.weights) @ table.T
         weighted = _contract_axes(box, [gram] * cs.dim)
         return float(np.vdot(box, weighted)) / cs.total_energy

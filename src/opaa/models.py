@@ -4,8 +4,13 @@ Every model implements the :class:`~opaa.core.TargetDensity` interface with a
 vectorized ``log_density_batch``, and a ``log_density_grid`` that computes
 each per-axis term once per grid coordinate and combines the terms by
 broadcasting, in the order the batch combines its columns, so both return
-the same bits. ``from_config`` builds any of them from the JSON model-config
-mapping the CLI reads.
+the same bits. A two-cluster GMM joint does not change when its two means
+are swapped, so on a grid whose two axes are the same vector it combines
+the terms once per unordered node pair: IEEE addition and logaddexp are
+commutative, so the bits are those of the broadcast. Every path refuses
+points of another dimension than the model's with one ValueError.
+``from_config`` builds any of them from the JSON model-config mapping the
+CLI reads.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from .core import GridPoints, TargetDensity
+from .core import GridPoints, TargetDensity, check_dimension
 from .errors import as_int, is_number
+from .quadrature import MAX_ORDER
 
 __all__ = [
     "GaussianIdentity",
@@ -39,6 +45,14 @@ REFERENCE_MEANS = (-18.61, 3.81, 8.84)
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _batch(dim, points):
+    """points as a float batch of rows of dim coordinates; a 1-D array is
+    one point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    check_dimension(dim, pts.shape[-1], "point")
+    return pts
+
+
 class GaussianIdentity(TargetDensity):
     """P(theta) = pi^{-dim/2} e^{-|theta|^2}: the basis ground state squared.
 
@@ -50,14 +64,16 @@ class GaussianIdentity(TargetDensity):
         self.dim = as_int(dim, "dim", 1)
 
     def log_density(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        check_dimension(self.dim, theta.shape[-1], "point")
         return float(-0.5 * self.dim * np.log(np.pi) - np.dot(theta, theta))
 
     def log_density_batch(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = _batch(self.dim, points)
         return -0.5 * self.dim * np.log(np.pi) - np.sum(pts**2, axis=1)
 
     def log_density_grid(self, grid):
+        check_dimension(self.dim, len(grid.axes), "grid")
         # the squares added axis by axis, as np.sum adds a column-major batch
         squares = functools.reduce(np.add.outer, [axis**2 for axis in grid.axes])
         return -0.5 * self.dim * np.log(np.pi) - squares.reshape(-1)
@@ -99,9 +115,10 @@ class PlantedDensity(TargetDensity):
         point batch.
         """
         if isinstance(points, GridPoints):
+            check_dimension(self.dim, len(points.axes), "grid")
             axes, multiply = points.axes, np.multiply.outer
         else:
-            axes, multiply = np.atleast_2d(np.asarray(points, dtype=float)).T, np.multiply
+            axes, multiply = _batch(self.dim, points).T, np.multiply
         tables = [hermite.psi_table(self.max_degree, axis) for axis in axes]
         s = 0.0
         for tau, c in self.coeffs.items():
@@ -166,32 +183,62 @@ class GmmModel:
 
 
 def _gmm_log_joint_batch(model, mus):
-    mus = np.atleast_2d(np.asarray(mus, dtype=float))
-    if mus.shape[1] != model.clusters:
-        raise ValueError(
-            f"mean vectors must have {model.clusters} entries, got {mus.shape[1]}"
-        )
-    return _gmm_log_joint(model, mus.T, np.add, np.logaddexp)
+    return _gmm_log_joint(model, _batch(model.clusters, mus).T, np.add, np.logaddexp)
 
 
-def _gmm_log_joint(model, means, add, logaddexp):
+def _gmm_log_joint(model, means, add, logaddexp, picks=None):
     """The log joint from one coordinate vector per cluster mean.
 
     With the ufuncs themselves the k-th vectors hold the k-th coordinates of
     row points; with their ``.outer`` they are a grid's axes, every per-axis
     term is computed once per coordinate and the result is the grid's
-    values, flattened theta1-major. The cluster terms are added, and the
-    mixture folded (the left fold np.logaddexp.reduce makes), cluster by
-    cluster in both cases.
+    values, flattened theta1-major. With ``picks`` (and the ufuncs
+    themselves), ``means`` is one node vector that every cluster shares:
+    each term is computed once per node and gathered at the index vector
+    picks[k] for cluster k. The cluster terms are added, and the mixture
+    folded (the left fold np.logaddexp.reduce makes), cluster by cluster in
+    every case.
     """
     sp, so = model.prior_sigma, model.obs_sigma
-    prior = [-0.5 * (m / sp) ** 2 - np.log(sp) - 0.5 * _LOG_2PI for m in means]
-    out = functools.reduce(add, prior)
+
+    def per_cluster(term):
+        if picks is None:
+            return [term(m) for m in means]
+        values = term(means)
+        return [values[p] for p in picks]
+
+    out = functools.reduce(
+        add, per_cluster(lambda m: -0.5 * (m / sp) ** 2 - np.log(sp) - 0.5 * _LOG_2PI)
+    )
     log_k = np.log(model.clusters)
     for x in model.observations:
-        comp = [-0.5 * ((x - m) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI for m in means]
+        comp = per_cluster(lambda m: -0.5 * ((x - m) / so) ** 2 - np.log(so) - 0.5 * _LOG_2PI)
         out += functools.reduce(logaddexp, comp) - log_k
     return out.reshape(-1)
+
+
+def _pair_index(n):
+    """The node pairs i <= j of an n x n grid, and each grid point's pair.
+
+    Returns ``(rows, cols, inverse)``: the n(n+1)/2 pairs are
+    (rows[k], cols[k]) in np.triu_indices' order, and ``inverse[i * n + j]``
+    is the position of the pair of (i, j) or (j, i) among them. Each array
+    has the smallest unsigned dtype that holds its entries.
+    """
+    rows, cols = np.triu_indices(n)
+    node = np.min_scalar_type(n - 1)
+    pair = np.arange(rows.size, dtype=np.min_scalar_type(rows.size - 1))
+    inverse = np.empty((n, n), dtype=pair.dtype)
+    inverse[rows, cols] = pair
+    inverse[cols, rows] = pair
+    index = (rows.astype(node), cols.astype(node), inverse.reshape(-1))
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
+# engine grids have at most MAX_ORDER nodes per axis; larger ones are not kept
+_cached_pair_index = functools.cache(_pair_index)
 
 
 def gmm_log_joint(model, mu):
@@ -218,7 +265,19 @@ class GmmJointDensity(TargetDensity):
         return _gmm_log_joint_batch(self.model, points)
 
     def log_density_grid(self, grid):
-        return _gmm_log_joint(self.model, grid.axes, np.add.outer, np.logaddexp.outer)
+        axes = grid.axes
+        check_dimension(self.dim, len(axes), "grid")
+        # bytes, not values: only byte-equal axes surely give byte-equal
+        # terms (a -0.0 node against a 0.0 one takes the broadcast)
+        if self.dim == 2 and axes[0].tobytes() == axes[1].tobytes():
+            n = axes[0].size
+            index = (_cached_pair_index if n <= MAX_ORDER else _pair_index)(n)
+            # kept small, widened once per call: a gather through a uint8 or
+            # uint16 index takes about twice as long as through an intp one
+            rows, cols, inverse = (idx.astype(np.intp) for idx in index)
+            values = _gmm_log_joint(self.model, axes[0], np.add, np.logaddexp, (rows, cols))
+            return values[inverse]
+        return _gmm_log_joint(self.model, axes, np.add.outer, np.logaddexp.outer)
 
 
 def gmm_sample_dataset(clusters, prior_sigma, obs_sigma, n, seed):

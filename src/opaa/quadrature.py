@@ -2,11 +2,13 @@
 
 Nodes are the roots of H_Gamma, found as eigenvalues of the symmetric
 tridiagonal Jacobi matrix (zero diagonal, off-diagonal sqrt(k/2)) with the
-LAPACK eigensolver behind ``np.linalg.eigh`` (Golub & Welsch 1969); weights
-come from the closed form w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2). Rules are
-built once per order and shared. Each rule also carries the sqrt(2)-scaled
-variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates against the
-half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
+LAPACK eigensolver behind ``np.linalg.eigh`` (Golub & Welsch 1969). Each rule
+carries the Hermite table of h_0..h_{Gamma-1} at its nodes, the projection
+matrix of every transform on its grid, and its weights come from the
+table's last row by the closed form w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2).
+Rules are built once per order and shared. Each rule also carries the
+sqrt(2)-scaled variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates
+against the half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
 
 Tensor grids over [0..Gamma-1]^N are never materialized: grid points are
 decoded on demand from linear indices in odometer order (last coordinate
@@ -46,8 +48,9 @@ class QuadratureRule:
 
     ``nodes``/``weights`` integrate against e^{-x^2}; ``scaled_nodes`` /
     ``scaled_weights`` are the sqrt(2)-scaled variant for e^{-x^2/2}.
-    Nodes are ascending and exactly antisymmetric; weights are positive
-    and symmetric. Arrays are read-only.
+    ``table`` is the HermiteTable of h_0..h_{order-1} at ``nodes``. Nodes
+    are ascending and exactly antisymmetric; weights are positive and
+    symmetric. Arrays are read-only.
     """
 
     order: int
@@ -55,6 +58,7 @@ class QuadratureRule:
     weights: np.ndarray
     scaled_nodes: np.ndarray
     scaled_weights: np.ndarray
+    table: hermite.HermiteTable
 
 
 def _validated_order(order):
@@ -94,7 +98,8 @@ def gauss_hermite(order):
 @functools.cache
 def _build_rule(order):
     nodes = _nodes(order)
-    weights = 1.0 / (order * hermite.eval_h(order - 1, nodes) ** 2)
+    table = hermite.build_table(order - 1, nodes)
+    weights = 1.0 / (order * table.values[-1] ** 2)
     weights = 0.5 * (weights + weights[::-1])
     scaled_nodes = np.sqrt(2.0) * nodes
     scaled_weights = np.sqrt(2.0) * weights
@@ -106,6 +111,7 @@ def _build_rule(order):
         weights=weights,
         scaled_nodes=scaled_nodes,
         scaled_weights=scaled_weights,
+        table=table,
     )
 
 
@@ -115,15 +121,13 @@ def eigenvector_weights(order):
     The normalized eigenvector of the Jacobi matrix for the node r is
     proportional to (h_0(r), ..., h_{Gamma-1}(r)), so its squared first
     component times the total mass sqrt(pi) is w = 1 / sum_k h_k(r)^2.
-    The eigenvector is built from the recurrence rather than taken from
-    the eigensolver, whose components are accurate only in absolute terms
-    and would leave the outermost weights off in relative terms. Exists as
-    an independent route for testing the closed-form weights;
-    :func:`gauss_hermite` does not use it.
+    The eigenvector is the rule's table column, built by the recurrence
+    rather than taken from the eigensolver, whose components are accurate
+    only in absolute terms and would leave the outermost weights off in
+    relative terms. Exists as an independent route for testing the
+    closed-form weights; :func:`gauss_hermite` does not use it.
     """
-    order = _validated_order(order)
-    nodes = _nodes(order)
-    table = hermite.build_table(order - 1, nodes)
+    table = _build_rule(_validated_order(order)).table
     w = 1.0 / np.sum(table.values**2, axis=0)
     return 0.5 * (w + w[::-1])
 

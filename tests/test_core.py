@@ -829,6 +829,31 @@ def test_density_mass_is_one(planted_1d):
     assert density.mass(quad_order=12) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_solve_and_mass_use_the_rules_table(monkeypatch):
+    target = opaa.GmmJointDensity(
+        opaa.GmmModel(clusters=2, prior_sigma=10.0, obs_sigma=1.0, observations=(2.0,))
+    )
+    amap = AffineMap(scale=[4.5, 4.5], shift=[2.0, 2.0])
+    first = run_opaa(target, 24, max_degree=30, precondition=amap, workers=1)
+    density = build_density(first.coefficients)
+    density.mass()
+    gauss_hermite(5)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_table(*args, **kwargs)
+
+    monkeypatch.setattr(opaa.hermite, "build_table", counting)
+    again = run_opaa(target, 24, max_degree=30, precondition=amap, workers=1)
+    assert again.coefficients.values.tobytes() == first.coefficients.values.tobytes()
+    assert density.mass(quad_order=24) == density.mass()
+    assert calls == []
+    # an order below the box extent grows the rule's table
+    density.mass(quad_order=5)
+    assert [args[0] for args in calls] == [first.coefficients.taus.max()]
+
+
 def mass_by_nodes(density, quad_order):
     """mass() as the plain weighted sum over every node of the tensor rule."""
     cs = density.coefficients

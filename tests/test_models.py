@@ -157,6 +157,7 @@ def test_log_density_batch_ignores_memory_order(target):
     assert row_major.tobytes() == column_major.tobytes()
 
 
+GRID_OBSERVATIONS = ((), (2.5,), (-6.0, -1.5, 0.4, 3.0, 7.7))
 GRID_TARGETS = (
     [pytest.param(GaussianIdentity(d), id=f"identity-{d}") for d in range(1, 10)]
     + [
@@ -174,7 +175,7 @@ GRID_TARGETS = (
             id=f"gmm-{k}-obs-{len(obs)}",
         )
         for k in range(1, 8)
-        for obs in ((), (2.5,), (-6.0, -1.5, 0.4, 3.0, 7.7))
+        for obs in GRID_OBSERVATIONS
     ]
 )
 
@@ -190,6 +191,78 @@ def test_log_density_grid_is_the_batch_of_its_points(target):
     values = target.log_density_grid(grid)
     assert values.shape == (math.prod(grid.shape),)
     assert values.tobytes() == target.log_density_batch(np.asarray(grid)).tobytes()
+
+
+def _gmm(clusters, observations=(2.5,)):
+    return GmmJointDensity(
+        GmmModel(clusters=clusters, prior_sigma=10.0, obs_sigma=1.0, observations=observations)
+    )
+
+
+@pytest.fixture
+def folded_sizes(monkeypatch):
+    """The number of values each GMM log-joint fold computes."""
+    sizes = []
+    fold = opaa.models._gmm_log_joint
+
+    def spy(*args, **kwargs):
+        values = fold(*args, **kwargs)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(opaa.models, "_gmm_log_joint", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 256])
+@pytest.mark.parametrize("obs", GRID_OBSERVATIONS, ids=lambda obs: f"obs-{len(obs)}")
+def test_two_cluster_grid_on_equal_axes_is_the_batch(n, obs, folded_sizes):
+    # the equal-axes grid is folded once per unordered node pair, and the
+    # values gathered back are the batch's bits at every point
+    target = _gmm(2, obs)
+    axis = np.random.default_rng(n).normal(0.0, 6.0, n)
+    grid = opaa.GridPoints([axis, axis.copy()])
+    values = target.log_density_grid(grid)
+    assert folded_sizes == [n * (n + 1) // 2]
+    assert values.tobytes() == target.log_density_batch(np.asarray(grid)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "clusters, axes",
+    [
+        pytest.param(2, [[-1.0, 0.0, 2.0], [-1.0, -0.0, 2.0]], id="signed-zero"),
+        pytest.param(2, [[-1.0, 0.0, 2.0], [-1.0, 0.5, 2.0]], id="unequal"),
+        pytest.param(2, [[-1.0, 0.0, 2.0], [-1.0, 0.0]], id="unequal-lengths"),
+        pytest.param(3, [[-1.0, 0.0, 2.0]] * 3, id="three-clusters"),
+    ],
+)
+def test_other_gmm_grids_take_the_broadcast(clusters, axes, folded_sizes):
+    target = _gmm(clusters)
+    grid = opaa.GridPoints(axes)
+    values = target.log_density_grid(grid)
+    assert folded_sizes == [math.prod(grid.shape)]
+    assert values.tobytes() == target.log_density_batch(np.asarray(grid)).tobytes()
+
+
+DIMENSION_TARGETS = [
+    pytest.param(GaussianIdentity(2), id="identity"),
+    pytest.param(PlantedDensity(2, {(0, 0): 1.0, (1, 0): 0.3}), id="planted"),
+    pytest.param(_gmm(2), id="gmm"),
+]
+
+
+@pytest.mark.parametrize("target", DIMENSION_TARGETS)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_points_of_another_dimension_are_refused(target, dim):
+    axis = np.linspace(-1.0, 1.0, 3)
+    calls = [
+        ("point", lambda: target.log_density(np.zeros(dim))),
+        ("point", lambda: target.log_density_batch(np.zeros((4, dim)))),
+        ("grid", lambda: target.log_density_grid(opaa.GridPoints([axis] * dim))),
+    ]
+    for what, call in calls:
+        with pytest.raises(ValueError, match=f"^{what} dimension {dim} != target dimension 2$"):
+            call()
 
 
 def test_planted_bracket_on_a_grid():

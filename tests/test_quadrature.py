@@ -8,7 +8,7 @@ import pytest
 
 from opaa import quadrature
 from opaa.errors import CapacityError, NumericalDomainError
-from opaa.hermite import build_table
+from opaa.hermite import build_table, eval_h
 from opaa.quadrature import (
     MAX_ORDER,
     TensorGrid,
@@ -268,8 +268,28 @@ def test_weight_stats_enumeration_cross_check():
 
 def test_rule_arrays_immutable():
     rule = gauss_hermite(4)
-    for arr in (rule.nodes, rule.weights, rule.scaled_nodes, rule.scaled_weights):
+    arrays = (rule.nodes, rule.weights, rule.scaled_nodes, rule.scaled_weights)
+    for arr in (*arrays, rule.table.points, rule.table.values):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 32, 128, MAX_ORDER])
+def test_rule_table_is_the_table_of_its_nodes(order):
+    rule = gauss_hermite(order)
+    table = build_table(order - 1, rule.nodes)
+    assert rule.table.max_degree == order - 1
+    assert rule.table.points.tobytes() == rule.nodes.tobytes()
+    assert rule.table.values.tobytes() == table.values.tobytes()
+
+
+def test_weights_from_the_table_keep_their_bits():
+    # the closed form evaluated by its own h_{order-1} recurrence, as the
+    # rules computed their weights before they carried a table
+    for order in range(1, MAX_ORDER + 1):
+        rule = gauss_hermite(order)
+        weights = 1.0 / (order * eval_h(order - 1, rule.nodes) ** 2)
+        weights = 0.5 * (weights + weights[::-1])
+        assert rule.weights.tobytes() == weights.tobytes(), order
 
 
 def test_discrete_orthonormality():
