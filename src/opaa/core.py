@@ -21,13 +21,20 @@ grid shape and BLOCK_SIZE. Each slab hands the target its tensor grid of
 mapped nodes (``TargetDensity.log_density_grid``), contracts its full axes
 with the (node x degree) projection matrix and writes the result into its
 own rows of one store; once every slab is in, the leading axis is
-contracted in one call. Thread t of min(workers, slabs) takes slabs t,
-t + threads, ... in increasing order, the calling thread being thread 0, so
-a one-slab grid starts no helper. No slab's rows depend on another slab or
-on which thread computed them, so results are reproducible bit for bit for
-any worker count; and since a thread stops at its own first failing slab,
-the lowest failing slab is always evaluated and its error is the one
-raised, as on one worker.
+contracted in one call. The calling thread runs slab 0 alone and times it.
+Helper threads start only if it took at least _HELPER_MIN_SLAB_S (1 ms): on
+a 2-CPU host a second thread's interpreter-lock hand-offs cost more than
+the second core saves on shorter slabs. There, dim-4 identity slabs took
+0.3-0.45 ms at the median and under 0.75 ms at p99, and 2 workers were
+slower at 4 and at 21 slabs; 3-cluster GMM slabs took 1.2 ms or more. Then
+thread t of min(workers, slabs - 1) takes slabs 1 + t, 1 + t + threads, ...
+in increasing order, the calling thread being thread 0, so a one-slab grid
+never starts a helper. The timing picks only the thread count, never the
+partition. No slab's rows depend on another slab or on which thread
+computed them, so results are reproducible bit for bit for any worker
+count; slab 0's error is raised before any helper starts, and since a
+thread stops at its own first failing slab, the lowest failing slab is
+always evaluated and its error is the one raised, as on one worker.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import functools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -68,6 +76,11 @@ TENSOR_VALUE_LIMIT = 10**8
 # entries of the largest array a density evaluation builds per chunk (2 MB)
 _CHUNK_ENTRIES = 2**18
 WORKER_ENV_VAR = "OPAA_MAX_WORKERS"
+# the first slab must take this long before helper threads share the rest
+_HELPER_MIN_SLAB_S = 1e-3
+# a shell layout held for reuse has at most this many entries (uint8, so as
+# many bytes); the cache holds at most 4 of them, 16 MB
+_LAYOUT_CACHE_ENTRIES = 2**22
 
 
 class TargetDensity:
@@ -208,7 +221,8 @@ class CoefficientSet:
                 f"need an (n, {self.dim}) taus array and n values, got shapes "
                 f"{taus.shape} and {values.shape}"
             )
-        degrees = taus.sum(axis=1)
+        # column adds: a row sum over a few columns is several times slower
+        degrees = functools.reduce(np.add, taus.T)
         if taus.size and (taus.min() < 0 or np.any(np.diff(degrees) < 0)):
             raise ValueError("multi-indices must be non-negative and in shell order")
         top = int(degrees[-1]) if degrees.size else -1
@@ -386,7 +400,9 @@ def _project(target, grid, table, size, workers, amap):
     map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
     contracts its full axes into its own rows of an (order, size, ..., size)
     store, whose leading axis is contracted once after the last slab.
-    Thread t of min(workers, slabs) takes slabs t, t + threads, ... in
+    The caller fills slab 0 alone, raising its error if it fails. Only if
+    that took _HELPER_MIN_SLAB_S or more does thread t of min(workers,
+    slabs - 1) take the remaining slabs t + 1, t + 1 + threads, ... in
     increasing order, the caller being thread 0. A thread stops at its
     first failing slab; the lowest failing slab is always reached, and its
     error is raised.
@@ -396,8 +412,7 @@ def _project(target, grid, table, size, workers, amap):
     nodes = amap.scale[:, None] * grid.rule.nodes + amap.shift[:, None]
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
     step = max(1, BLOCK_SIZE // order ** (dim - 1))
-    slabs = range(0, order, step)
-    threads = min(workers, len(slabs))
+    first, *rest = range(0, order, step)
     failures = []
 
     def fill(lo):
@@ -409,13 +424,18 @@ def _project(target, grid, table, size, workers, amap):
         store[lo : lo + step] = _contract_axes(rows, [proj] * (dim - 1))
 
     def work(t):
-        for lo in slabs[t::threads]:
+        for lo in rest[t::threads]:
             try:
                 fill(lo)
             except Exception as exc:
                 failures.append((lo, exc))
                 return
 
+    began = time.perf_counter()
+    fill(first)
+    threads = 1
+    if time.perf_counter() - began >= _HELPER_MIN_SLAB_S:
+        threads = max(1, min(workers, len(rest)))
     helpers = [threading.Thread(target=work, args=(t,)) for t in range(1, threads)]
     for helper in helpers:
         helper.start()
@@ -427,6 +447,7 @@ def _project(target, grid, table, size, workers, amap):
     return np.tensordot(proj, store, axes=([0], [0]))
 
 
+@functools.lru_cache(maxsize=4)
 def _shell_layout(dim, size, degree):
     """Every tau in [0, size - 1]^dim with total degree <= degree, in shell order.
 
@@ -434,18 +455,26 @@ def _shell_layout(dim, size, degree):
     (multiindex.enumerate_shell's order). With every axis of the box
     running high to low, C order is descending lexicographic order, so one
     stable sort of the box's degrees groups the shells in that order.
+    Returns a read-only (n, dim) array of the smallest unsigned type that
+    holds size - 1 (uint8 up to MAX_ORDER). Calls are cached; _shells calls
+    the uncached ``__wrapped__`` for boxes above _LAYOUT_CACHE_ENTRIES.
     """
     # a degree of at most 16 bits takes numpy's radix sort
     high_to_low = np.arange(size - 1, -1, -1).astype(np.min_scalar_type(dim * (size - 1)))
     degrees = functools.reduce(np.add.outer, [high_to_low] * dim).ravel()
     kept = np.flatnonzero(degrees <= degree)
     flat = kept[np.argsort(degrees[kept], kind="stable")]
-    return size - 1 - np.column_stack(np.unravel_index(flat, (size,) * dim))
+    taus = size - 1 - np.column_stack(np.unravel_index(flat, (size,) * dim))
+    taus = taus.astype(np.min_scalar_type(size - 1))
+    taus.setflags(write=False)
+    return taus
 
 
 def _shells(box, quad_order, degree):
     """The coefficients of a box in total-degree shells 0..degree."""
-    taus = _shell_layout(box.ndim, box.shape[0], degree)
+    cached = box.size * box.ndim <= _LAYOUT_CACHE_ENTRIES
+    layout = _shell_layout if cached else _shell_layout.__wrapped__
+    taus = layout(box.ndim, box.shape[0], degree)
     return CoefficientSet(box.ndim, quad_order, taus, box[tuple(taus.T)])
 
 
@@ -474,7 +503,12 @@ def coefficients_contracted(target, grid, table, max_degree):
 
 def _resolve_workers(workers):
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cgroup can
+        # make fewer than the machine's
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     workers = as_int(workers, "workers", 1)
     cap = os.environ.get(WORKER_ENV_VAR)
     if cap:
@@ -524,16 +558,19 @@ def run_opaa(
         Change of variables theta = scale * r + shift, applied to the
         per-axis quadrature nodes r; preserves the evidence.
     workers : int, optional
-        Threads that evaluate grid slabs (default: available parallelism,
-        capped by the OPAA_MAX_WORKERS environment variable). The calling
-        thread and up to ``workers - 1`` helpers share the slabs, thread t
-        of min(workers, slabs) taking slabs t, t + threads, ... in
-        increasing order; a grid of at most BLOCK_SIZE points is one slab,
-        run on the calling thread alone. The slab partition depends only
-        on the grid shape, each slab fills its own rows and the leading
-        axis is contracted once, so the result is bitwise identical for
-        any worker count. If slabs fail, the error of the lowest failing
-        slab is raised, the one a single worker meets first.
+        Threads that evaluate grid slabs (default: the CPUs this process
+        may run on, capped by the OPAA_MAX_WORKERS environment variable).
+        The calling thread evaluates slab 0 alone; only if that took 1 ms
+        or more do up to ``workers - 1`` helpers start, thread t of
+        min(workers, slabs - 1) taking slabs 1 + t, 1 + t + threads, ...
+        in increasing order. Shorter slabs (a cheap target such as a dim-4
+        Gaussian, 0.3-0.7 ms per slab) run faster on one thread on a 2-CPU
+        host; a grid of at most BLOCK_SIZE points is one slab and never
+        starts a helper. The slab partition depends only on the grid
+        shape, each slab fills its own rows and the leading axis is
+        contracted once, so the result is bitwise identical for any worker
+        count. If slabs fail, the error of the lowest failing slab is
+        raised, the one a single worker meets first.
 
     Raises
     ------

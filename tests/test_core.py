@@ -213,17 +213,34 @@ def test_log_density_grid_of_the_wrong_shape_is_refused(monkeypatch):
             run_opaa(_PerAxisSpike(2, [], shape=(1, -1)), 12, workers=workers)
 
 
-def test_failure_is_the_same_for_any_worker_count(monkeypatch):
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """The helper threads _project starts, in start order."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(opaa.core.threading, "Thread", Counting)
+    return started
+
+
+def test_failure_is_the_same_for_any_worker_count(monkeypatch, helpers_started):
     # one row per slab, non-finite in slabs 3 and 8; slab 3 is slow, so a
     # second thread meets slab 8's failure first, yet slab 3's is raised
     monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 12)
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
     nodes = gauss_hermite(12).nodes
     target = _PerAxisSpike(2, nodes[[3, 8]], slow=nodes[3])
     messages = set()
     for workers in (1, 2, 2, 2, 8):
+        helpers_started.clear()
         with pytest.raises(NumericalDomainError) as err:
             run_opaa(target, 12, workers=workers)
         messages.add(str(err.value))
+        assert len(helpers_started) == workers - 1
     assert messages == {
         f"non-finite integrand at node {(float(nodes[3]), float(nodes[0]))}: log density inf"
     }
@@ -301,13 +318,15 @@ def test_degenerate_target_raises():
     assert "precondition" in str(err.value)
 
 
-def test_worker_count_does_not_change_bits():
-    # grid of 32768 points spans two slabs of 16 rows; the identity map
-    # gives the bits of no map
+def test_worker_count_does_not_change_bits(monkeypatch, helpers_started):
+    # grid of 64000 points spans four slabs of 10 rows, the last three shared
+    # by up to three threads; the identity map gives the bits of no map
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
     target = opaa.GaussianIdentity(3)
     runs = [
-        run_opaa(target, 32, max_degree=3, workers=w) for w in (1, 2, 8)
-    ] + [run_opaa(target, 32, max_degree=3, precondition=AffineMap.identity(3), workers=2)]
+        run_opaa(target, 40, max_degree=3, workers=w) for w in (1, 2, 8)
+    ] + [run_opaa(target, 40, max_degree=3, precondition=AffineMap.identity(3), workers=2)]
+    assert len(helpers_started) == 0 + 1 + 2 + 1
     base = list(runs[0].coefficients.items())
     for other in runs[1:]:
         assert list(other.coefficients.items()) == base
@@ -320,6 +339,7 @@ def test_multi_slab_matches_single_slab(monkeypatch):
     amap = AffineMap(scale=[0.8, 0.9, 1.1], shift=[0.3, -0.2, 0.1])
     single = run_opaa(target, 12, max_degree=8, precondition=amap, workers=1)
     monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 300)
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
     runs = [
         run_opaa(target, 12, max_degree=8, precondition=amap, workers=w)
         for w in (1, 2, 8)
@@ -333,16 +353,20 @@ def test_multi_slab_matches_single_slab(monkeypatch):
         assert other.evidence == runs[0].evidence
 
 
-def test_every_slab_is_taken_once_under_frequent_thread_switches(monkeypatch):
-    # 24 one-row slabs shared by more threads than cores, switching every
-    # microsecond, by counts that do and do not divide 24: each slab must be
-    # evaluated exactly once, and the bits must be those of one worker
+def test_every_slab_is_taken_once_under_frequent_thread_switches(
+    monkeypatch, helpers_started
+):
+    # 24 one-row slabs, the last 23 shared by more threads than cores,
+    # switching every microsecond, by counts that do and do not divide 23:
+    # each slab must be evaluated exactly once, and the bits must be those
+    # of one worker
     class Recording(opaa.GaussianIdentity):
         def log_density_grid(self, grid):
             firsts.append(float(grid.axes[0][0]))
             return super().log_density_grid(grid)
 
     monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
     firsts = []
     single = run_opaa(Recording(3), 24, max_degree=6, workers=1)
     interval = sys.getswitchinterval()
@@ -350,31 +374,120 @@ def test_every_slab_is_taken_once_under_frequent_thread_switches(monkeypatch):
     try:
         for workers in (5, 7, 8, 8, 8):
             firsts.clear()
+            helpers_started.clear()
             run = run_opaa(Recording(3), 24, max_degree=6, workers=workers)
+            assert len(helpers_started) == workers - 1
             assert sorted(firsts) == gauss_hermite(24).nodes.tolist()
             assert run.coefficients.values.tobytes() == single.coefficients.values.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
 
+class _SlowFirstSlab(opaa.GaussianIdentity):
+    """Sleeps past the helper threshold on the slab that holds node 0 of axis 0."""
+
+    def __init__(self, dim, order):
+        super().__init__(dim)
+        self._first = gauss_hermite(order).nodes[0]
+
+    def log_density_grid(self, grid):
+        if self._first in grid.axes[0]:
+            time.sleep(2 * opaa.core._HELPER_MIN_SLAB_S)
+        return super().log_density_grid(grid)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_helper_threads_follow_the_slab_count(monkeypatch, workers):
-    # 3-D order 25 has 15,625 points, one BLOCK_SIZE slab: it runs on the
-    # calling thread alone; order 32's 32,768 points are two slabs, so one
-    # helper starts if there are two workers or more
-    started = []
+def test_helper_threads_follow_the_slab_count(monkeypatch, helpers_started, workers):
+    # helpers start only after a first slab of _HELPER_MIN_SLAB_S or more,
+    # and then as many as the other slabs can occupy
+    dim4 = AffineMap(scale=[0.8] * 4, shift=[0.3] * 4)
+    # the dim-4 benchmark shape, four slabs of about 0.3 ms each: no run of
+    # three on an idle or a busy host should start a helper
+    counts = []
+    for _ in range(3):
+        helpers_started.clear()
+        run = run_opaa(
+            opaa.GaussianIdentity(4), 16, max_degree=12, precondition=dim4, workers=workers
+        )
+        assert run.evidence > 0
+        counts.append(len(helpers_started))
+    assert min(counts) == 0
+    # order 12 in 3-D has 144-point rows: BLOCK_SIZE 300 cuts 6 slabs of 2 rows,
+    # and the first slab's sleep lets helpers share the other five
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 300)
+    helpers_started.clear()
+    assert run_opaa(_SlowFirstSlab(3, 12), 12, max_degree=4, workers=workers).evidence > 0
+    assert len(helpers_started) == min(workers, 5) - 1
+    # a one-slab grid starts none, even with no threshold at all
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 1728)
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
+    helpers_started.clear()
+    assert run_opaa(opaa.GaussianIdentity(3), 12, max_degree=4, workers=workers).evidence > 0
+    assert helpers_started == []
+    # a failing first slab raises before any helper starts
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 300)
+    nodes = gauss_hermite(12).nodes
+    with pytest.raises(NumericalDomainError) as err:
+        run_opaa(_PerAxisSpike(3, nodes[[0, 5]]), 12, workers=workers)
+    assert str(err.value).startswith(f"non-finite integrand at node ({float(nodes[0])!r}, ")
+    assert helpers_started == []
 
-    class Counting(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
 
-    monkeypatch.setattr(opaa.core.threading, "Thread", Counting)
-    target = opaa.GaussianIdentity(3)
-    assert run_opaa(target, 25, max_degree=4, workers=workers).evidence > 0
-    assert started == []
-    assert run_opaa(target, 32, max_degree=4, workers=workers).evidence > 0
-    assert len(started) == min(workers, 2) - 1
+# the paper's three-cluster data and map; its evidence is the sum over the
+# 3^6 cluster assignments of conjugate normal evidences (prior sd 10, noise sd 1)
+PAPER_OBSERVATIONS = (-18.0, -17.2, 3.5, 4.2, 8.9, 9.3)
+PAPER_EVIDENCE = 1.1121298109574166e-09
+
+
+def _assignment_sum(observations, clusters, prior_sigma=10.0, obs_sigma=1.0):
+    obs = np.asarray(observations)
+    total = 0.0
+    for labels in itertools.product(range(clusters), repeat=obs.size):
+        term = 1.0
+        for k in range(clusters):
+            x = obs[np.asarray(labels) == k]
+            # the cluster's observations are N(0, obs^2 I + prior^2 11^T)
+            cov = obs_sigma**2 * np.eye(x.size) + prior_sigma**2
+            _, logdet = np.linalg.slogdet(cov)
+            quad = x @ np.linalg.solve(cov, x) if x.size else 0.0
+            term *= math.exp(-0.5 * (x.size * math.log(2 * math.pi) + logdet + quad))
+        total += term
+    return total / clusters**obs.size
+
+
+def test_the_papers_three_cluster_case(monkeypatch, helpers_started):
+    # order 64: 262,144 points in 16 slabs of real GMM work
+    assert _assignment_sum(PAPER_OBSERVATIONS, 3) == pytest.approx(PAPER_EVIDENCE, rel=1e-12)
+    model = opaa.GmmModel(
+        clusters=3, prior_sigma=10.0, obs_sigma=1.0, observations=PAPER_OBSERVATIONS
+    )
+    target = opaa.GmmJointDensity(model)
+    amap = AffineMap(scale=[2.5] * 3, shift=[-1.55] * 3)
+
+    def solve(workers):
+        return run_opaa(target, 64, max_degree=189, precondition=amap, workers=workers)
+
+    base = solve(1)
+    assert base.evidence == pytest.approx(PAPER_EVIDENCE, rel=1e-5)
+    runs = [solve(2)]
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
+    helpers_started.clear()
+    runs.append(solve(2))
+    assert len(helpers_started) == 1
+    for run in runs:
+        assert np.array_equal(run.coefficients.taus, base.coefficients.taus)
+        assert run.coefficients.values.tobytes() == base.coefficients.values.tobytes()
+        assert run.evidence == base.evidence
+    # the target is exchangeable and the map isotropic: a[tau] is the same
+    # for every permutation of tau, up to rounding
+    cs = base.coefficients
+    box = np.full((64,) * 3, np.nan)
+    box[tuple(cs.taus.T)] = cs.values
+    kept = ~np.isnan(box)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(kept, kept.transpose(perm))
+        gap = np.abs(box - box.transpose(perm))[kept]
+        assert gap.max() <= 1e-13 * np.abs(cs.values).max()
 
 
 class _RowMajor(TargetDensity):
@@ -590,6 +703,21 @@ def test_bool_is_not_an_integer(call, value):
         call(value)
 
 
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    # os.cpu_count() counts the machine's CPUs; under taskset -c 0 on a
+    # 2-CPU host it gave 2 workers and a helper thread on one usable CPU
+    monkeypatch.delenv("OPAA_MAX_WORKERS", raising=False)
+    monkeypatch.setattr(opaa.core.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(opaa.core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _resolve_workers(None) == 1
+    assert _resolve_workers(4) == 4
+    # where the platform has no affinity call, the CPU count, or 1 if unknown
+    monkeypatch.delattr(opaa.core.os, "sched_getaffinity")
+    assert _resolve_workers(None) == 2
+    monkeypatch.setattr(opaa.core.os, "cpu_count", lambda: None)
+    assert _resolve_workers(None) == 1
+
+
 def test_worker_env_cap(monkeypatch):
     monkeypatch.setenv("OPAA_MAX_WORKERS", "2")
     assert _resolve_workers(8) == 2
@@ -762,15 +890,59 @@ def test_coefficient_set_arrays():
 def test_shell_layout_matches_enumerate_shell(dim, size, degree):
     box = np.random.default_rng(dim * 1000 + size).normal(size=(size,) * dim)
     coeffs = opaa.core._shells(box, None, degree)
+    assert list(coeffs.items()) == _shell_items(box, degree)
+    assert coeffs.max_degree == degree
     shells = [
         [tau for tau in enumerate_shell(dim, d) if max(tau) < size]
         for d in range(degree + 1)
     ]
-    assert list(coeffs.items()) == [(tau, box[tau]) for shell in shells for tau in shell]
-    assert coeffs.max_degree == degree
     for shell, energy in zip(shells, coeffs.shell_energy):
         vec = np.array([box[tau] for tau in shell])
         assert energy == float(np.dot(vec, vec))
+
+
+def _shell_items(box, degree):
+    """(tau, coefficient) pairs of the box in shell order, from enumerate_shell."""
+    size = box.shape[0]
+    return [
+        (tau, box[tau])
+        for d in range(degree + 1)
+        for tau in enumerate_shell(box.ndim, d)
+        if max(tau) < size
+    ]
+
+
+def test_shell_layouts_are_built_once_and_read_only():
+    layout = opaa.core._shell_layout
+    layout.cache_clear()
+    amap = AffineMap(scale=[0.8] * 4, shift=[0.3] * 4)
+    first, second = (
+        run_opaa(opaa.GaussianIdentity(4), 16, max_degree=12, precondition=amap, workers=1)
+        for _ in range(2)
+    )
+    assert layout.cache_info().misses == 1 and layout.cache_info().hits == 1
+    cached = layout(4, 13, 12)
+    assert cached.dtype == np.uint8
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1
+    # each set holds its own intp copy, never the cached array
+    for run in (first, second):
+        assert run.coefficients.taus.dtype == np.intp
+        assert not np.shares_memory(run.coefficients.taus, cached)
+    assert np.array_equal(first.coefficients.taus, second.coefficients.taus)
+
+
+def test_shell_layouts_of_one_box_at_several_degrees(monkeypatch):
+    box = np.random.default_rng(5).normal(size=(6, 6, 6))
+    for degree in (3, 15, 3, 7, 0, 15):
+        coeffs = opaa.core._shells(box, None, degree)
+        assert list(coeffs.items()) == _shell_items(box, degree)
+    # a box above the cache bound gets a fresh layout, and the cache is untouched
+    before = opaa.core._shell_layout.cache_info()
+    monkeypatch.setattr(opaa.core, "_LAYOUT_CACHE_ENTRIES", box.size * box.ndim - 1)
+    assert list(opaa.core._shells(box, None, 7).items()) == _shell_items(box, 7)
+    assert opaa.core._shell_layout.cache_info() == before
 
 
 def test_density_from_single_coefficient_is_standard_gaussian():
