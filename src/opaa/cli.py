@@ -10,8 +10,11 @@ quadrature-table dump a 1-D rule's nodes and weights (CSV)
 weights-stats    distinct tensor-grid weights, counted combinatorially (JSON)
 oracle-evidence  Simpson-box evidence with the refinement self-check (JSON)
 
-All floating-point file output uses the round-trippable %.17g form. Errors
-print one line to stderr and exit 1.
+All floating-point file output uses the round-trippable %.17g form. Each
+coefficient line and each theta1 row of density-grid lines is filled by one
+% from a template built once. Coefficient files are decoded a line at a
+time, each line as json.loads would decode it on its own. Errors print one
+line to stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -43,8 +46,34 @@ SUMMARY_NAME = "summary.json"
 
 
 def _g17(value):
-    # the density-grid value template repeats this format inline
+    # the coefficient line and density-grid row templates repeat this
+    # format inline, one %.17g per value
     return "%.17g" % float(value)
+
+
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def _loads_line(line):
+    """json.loads(line) for a stripped line, with its errors and messages.
+
+    One call into the C scanner: a stripped line has no whitespace around
+    its value for json.loads to skip, so what is left is its BOM check and
+    the refusal of anything after the value.
+    """
+    try:
+        value, end = _RAW_DECODE(line)
+    except json.JSONDecodeError:
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            ) from None
+        raise
+    if end != len(line):
+        # json.loads reports the extra data past any JSON whitespace
+        extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
+        raise json.JSONDecodeError("Extra data", line, extra)
+    return value
 
 
 def save_coefficients(coeffs, path):
@@ -53,9 +82,12 @@ def save_coefficients(coeffs, path):
     Lines are ordered by total degree, then by the shell enumeration order,
     so files produced from the same run are byte-identical.
     """
+    # the bytes of json.dumps(tau) and _g17(a), formatted with one %
+    line = '{"tau": [' + ", ".join(["%d"] * coeffs.dim) + '], "a": %.17g}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        for tau, a in zip(coeffs.taus.tolist(), coeffs.values.tolist()):
-            fh.write('{"tau": %s, "a": %s}\n' % (json.dumps(tau), _g17(a)))
+        fh.writelines(
+            line % (*tau, a) for tau, a in zip(coeffs.taus.tolist(), coeffs.values.tolist())
+        )
 
 
 def load_coefficients(path):
@@ -73,7 +105,7 @@ def load_coefficients(path):
             if not line:
                 continue
             try:
-                entry = json.loads(line)
+                entry = _loads_line(line)
                 tau = tuple(entry["tau"])
                 a = float(entry["a"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -194,6 +226,10 @@ def _cmd_density_grid(args):
     lo, hi = _parse_interval(args.range, "--range")
     if not lo < hi:
         raise ValueError(f"--range needs LO < HI, got {args.range!r}")
+    if not math.isfinite(hi - lo):
+        # np.linspace would overflow with warnings and return non-finite
+        # coordinates
+        raise ValueError(f"--range width must be a finite number, got {args.range!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     # the output's cap, checked before the axis is built
@@ -201,9 +237,11 @@ def _cmd_density_grid(args):
     axis = np.linspace(lo, hi, args.points)
     vals = density.grid([axis] * coeffs.dim)
     # each coordinate is formatted once: as the theta1 prefix of its row of
-    # lines and as a theta2 label; each value once, as its line is built,
-    # with _g17's format
+    # lines and as a theta2 label. Each row of lines is one template with a
+    # _g17 field per value, filled by one %; labels are %.17g text of finite
+    # floats, so they hold no % of their own.
     labels = [_g17(c) + "," for c in axis.tolist()]
+    cols = [label + "%.17g" for label in labels]
     if coeffs.dim == 1:
         header, rows = "theta1,density", [("", vals)]
     else:
@@ -211,8 +249,8 @@ def _cmd_density_grid(args):
     with _output(args.output) as out:
         out.write(header + "\n")
         for prefix, row in rows:
-            lines = ["%s%s%.17g\n" % (prefix, c, v) for c, v in zip(labels, row.tolist())]
-            out.write("".join(lines))
+            template = prefix + ("\n" + prefix).join(cols) + "\n"
+            out.write(template % tuple(row.tolist()))
     return 0
 
 

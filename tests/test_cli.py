@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opaa.cli import _g17, load_coefficients, main, save_coefficients
-from opaa.core import build_density, run_opaa
+from opaa.core import CoefficientSet, build_density, run_opaa
 from opaa.hermite import eval_psi
 
 IDENTITY_1D = {"type": "gaussian_identity", "dim": 1}
@@ -424,6 +424,18 @@ def test_density_grid_range_needs_finite_numbers(tmp_path, capsys, bound):
     assert captured.err == f"error: --range must be LO:HI with finite numbers, got {bound!r}\n"
 
 
+@pytest.mark.parametrize("bound", ["-1e308:1e308", "-1.7976931348623157e308:1e300"])
+def test_density_grid_range_width_must_be_finite(tmp_path, capsys, bound):
+    # refused before np.linspace, which would overflow with RuntimeWarnings
+    out = run_planted(tmp_path)
+    capsys.readouterr()
+    args = ["density-grid", "--coefficients", str(out / "coefficients.jsonl")]
+    assert main([*args, f"--range={bound}", "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --range width must be a finite number, got {bound!r}\n"
+
+
 def test_coefficient_file_round_trip_is_exact(tmp_path, planted_1d):
     out = run_planted(tmp_path)
     loaded = load_coefficients(out / "coefficients.jsonl")
@@ -446,6 +458,23 @@ def test_coefficient_file_save_load_save_is_byte_identical(tmp_path, planted_2d)
     assert np.array_equal(loaded.taus, coeffs.taus)
     assert np.array_equal(loaded.values, coeffs.values)
     assert loaded.shell_energy == coeffs.shell_energy
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coefficient_file_bytes_match_the_json_dumps_writer(tmp_path, dim):
+    taus = [(0,) * dim, (10,) + (0,) * (dim - 1), (0,) * (dim - 1) + (255,), (12,) * dim]
+    values = [-0.0, 5e-324, 0.1, 1.7976931348623157e308]
+    with np.errstate(over="ignore"):
+        # the largest double's square, a shell energy, overflows to inf
+        coeffs = CoefficientSet.from_pairs(dim, None, zip(taus, values))
+    path = tmp_path / "coefficients.jsonl"
+    save_coefficients(coeffs, path)
+    expected = "".join(
+        '{"tau": %s, "a": %s}\n' % (json.dumps(tau), _g17(a))
+        for tau, a in zip(coeffs.taus.tolist(), coeffs.values.tolist())
+    )
+    assert path.read_bytes() == expected.encode()
+    assert len(expected.splitlines()) == 4
 
 
 def test_coefficient_file_lines_load_into_shell_order(tmp_path):
@@ -505,6 +534,11 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 0.5} {}'], "bad coefficient line"),
         (['{"tau": [0], "a": 1.0}', '{"tau": [1], "a": 0.5'], "bad coefficient line"),
         (['{"tau": [0], "a": 1.0}', '{"tau": [1', '2], "a": 0.5}'], "bad coefficient line"),
+        # valid JSON, but not an object
+        (['{"tau": [0], "a": 1.0}', "[]"], "bad coefficient line"),
+        (['{"tau": [0], "a": 1.0}', '"x"'], "bad coefficient line"),
+        (['{"tau": [0], "a": 1.0}', "1"], "bad coefficient line"),
+        (['{"tau": [0], "a": 1.0}', "null"], "bad coefficient line"),
     ],
     ids=[
         "negative",
@@ -523,6 +557,10 @@ def test_coefficient_file_lines_load_into_shell_order(tmp_path):
         "trailing-data",
         "truncated",
         "split-value",
+        "array-line",
+        "string-line",
+        "number-line",
+        "null-line",
     ],
 )
 def test_bad_coefficient_files_are_rejected(tmp_path, capsys, lines, message):
@@ -542,6 +580,46 @@ def test_bad_coefficient_line_keeps_its_cause(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad coefficient line")) as info:
         load_coefficients(path)
     assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_padded_coefficient_lines_load_like_clean_ones(tmp_path):
+    lines = ['{"tau": [0, 0], "a": 1.0}', '{"tau": [1, 0], "a": -0.5}', '{"tau": [0, 2], "a": 0.25}']
+    clean, padded = tmp_path / "clean.jsonl", tmp_path / "padded.jsonl"
+    clean.write_text("\n".join(lines) + "\n")
+    padded.write_bytes(
+        (
+            f"  {lines[0]}\t\r\n"
+            " \t\r\n"
+            '\t{ "tau" : [ 1 , 0 ] , "a" : -0.5 } \r\n'
+            f"\t \t{lines[2]}  "
+        ).encode()
+    )
+    assert list(load_coefficients(padded).items()) == list(load_coefficients(clean).items())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '\ufeff{"tau": [0], "a": 1.0}',
+        '{"tau": [0], "a": 1.0} {}',
+        '{"tau": [0], "a": 1.0} \t x',
+        '{"tau": [0], "a": 1.0}}',
+        '{"tau": [0], "a": 1.0',
+        "tau",
+    ],
+    ids=["bom", "trailing-object", "trailing-word", "trailing-brace", "truncated", "bare-word"],
+)
+def test_undecodable_coefficient_lines_keep_the_json_message(tmp_path, line):
+    # each line is decoded as json.loads would decode it on its own, message
+    # and all; a leading BOM is named as such, not as a missing value
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        json.loads(line)
+    path = tmp_path / "coefficients.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_coefficients(path)
+    assert str(info.value) == f"{path}:1: bad coefficient line: {parsed.value}"
+    assert ("Unexpected UTF-8 BOM" in str(info.value)) == line.startswith("\ufeff")
 
 
 def test_workers_do_not_change_output_bytes(tmp_path):

@@ -284,9 +284,11 @@ def test_rule_table_is_the_table_of_its_nodes(order):
 
 def test_weights_from_the_table_keep_their_bits():
     # the closed form evaluated by its own h_{order-1} recurrence, as the
-    # rules computed their weights before they carried a table
+    # rules computed their weights before they carried a table. Each rule
+    # is built past the per-order cache, which would otherwise keep all 256
+    # Hermite tables (49 MB) alive for the rest of the process.
     for order in range(1, MAX_ORDER + 1):
-        rule = gauss_hermite(order)
+        rule = quadrature._build_rule.__wrapped__(order)
         weights = 1.0 / (order * eval_h(order - 1, rule.nodes) ** 2)
         weights = 0.5 * (weights + weights[::-1])
         assert rule.weights.tobytes() == weights.tobytes(), order
