@@ -32,6 +32,13 @@ relative bound:
 
 The verdicts are also printed, one line per workload and metric.
 
+Every run also records ``minor_faults``: the minor page faults of its
+benchmark process and of the processes it waited for (its setup probes),
+read as the change in ``getrusage(RUSAGE_CHILDREN).ru_minflt`` around it.
+``summary`` gives per workload each side's median of minor faults per
+attempted op, over the same pairs (``minor_faults_per_op``). It counts
+the setup probes too, so it compares the sides and is no absolute figure.
+
 After the pairs, each side runs every workload three more times with
 ``--trace 1``, at seeds ``first_seed + pairs`` to ``first_seed + pairs + 2``
 and the same ``run_seconds``, the parent first at the first and third seed.
@@ -48,6 +55,7 @@ import argparse
 import filecmp
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -105,7 +113,9 @@ def run_once(tree, workload, seed, seconds, trace=0):
     """One benchmark process: its final JSON line and its environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = done.stdout.splitlines()
     env = next(
         (json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment ")),
@@ -118,6 +128,7 @@ def run_once(tree, workload, seed, seconds, trace=0):
     if done.returncode != 0:
         result["correct"] = False
         result["stderr_tail"] = done.stderr[-2000:]
+    result["minor_faults"] = faults
     return result, env
 
 
@@ -182,6 +193,11 @@ def summarize(runs, spec):
             p for p in by_seed.values() if all(p.get(s, {}).get("correct") for s in SIDES)
         ]
         rows = {"pairs": len(by_seed), "pairs_correct": len(pairs)}
+        if pairs and all("minor_faults" in p[s] for p in pairs for s in SIDES):
+            rows["minor_faults_per_op"] = {
+                s: statistics.median(p[s]["minor_faults"] / p[s]["attempted"] for p in pairs)
+                for s in SIDES
+            }
         for metric in spec["end_to_end"] if pairs else ():
             name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
             values = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
@@ -267,8 +283,14 @@ def main(argv=None):
     }
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
     for workload, rows in record["summary"].items():
+        if "minor_faults_per_op" in rows:
+            faults = rows["minor_faults_per_op"]
+            print(
+                f"{workload} minor faults per op: {faults['parent']:.4g} -> "
+                f"{faults['change']:.4g} (setup probes included)"
+            )
         for name, row in rows.items():
-            if isinstance(row, dict):
+            if isinstance(row, dict) and "verdict" in row:
                 print(
                     f"{workload} {name}: {row['parent']['median']:.4g} -> "
                     f"{row['change']['median']:.4g} ({row['median_change']:+.1%}), parent "

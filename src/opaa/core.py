@@ -18,27 +18,32 @@ of the box [0, Gamma-1]^dim at once (a higher per-axis degree would alias
 onto the Gamma nodes, so multi-indices never leave the box). The grid is cut
 along its leading axis into slabs of whole rows, a partition fixed by the
 grid shape and BLOCK_SIZE. Each slab hands the target its tensor grid of
-mapped nodes (``TargetDensity.log_density_grid``), contracts its full axes
-with the (node x degree) projection matrix and writes the result into its
-own rows of one store; once every slab is in, the leading axis is
-contracted in one call. The calling thread runs slab 0 alone and times it.
-Helper threads start only if it took at least _HELPER_MIN_SLAB_S (1 ms): on
-a 2-CPU host a second thread's interpreter-lock hand-offs cost more than
-the second core saves on shorter slabs. There, dim-4 identity slabs took
-0.3-0.45 ms at the median and under 0.75 ms at p99, and 2 workers were
-slower at 4 and at 21 slabs; 3-cluster GMM slabs took 1.2 ms or more. Then
-thread t of min(workers, slabs - 1) takes slabs 1 + t, 1 + t + threads, ...
-in increasing order, the calling thread being thread 0, so a one-slab grid
+mapped nodes (``TargetDensity.log_density_grid``), takes the square roots in
+place in one array, contracts its full axes with the (node x degree)
+projection matrix and writes the last round's product straight into its own
+rows of one store; once every slab is in, the leading axis is contracted in
+one call. The mapped nodes are checked once per solve, and the calling
+thread keeps the store for its next solve, so the slab loop runs on pages
+the process has touched before rather than on heap pages freed and faulted
+in again. The calling thread runs slab 0 alone and times it. Helper threads
+start only if it took at least _HELPER_MIN_SLAB_S (1 ms): on a 2-CPU host a
+second thread's interpreter-lock hand-offs cost more than the second core
+saves on shorter slabs. There, dim-4 identity slabs took 0.21-0.24 ms at the
+median and under 0.4 ms at p99, and 2 workers took twice as long at 4 and at
+21 slabs; 3-cluster GMM slabs took 2 ms or more. Then thread t of
+min(workers, slabs - 1) takes slabs 1 + t, 1 + t + threads, ... in
+increasing order, the calling thread being thread 0, so a one-slab grid
 never starts a helper. The timing picks only the thread count, never the
-partition. No slab's rows depend on another slab or on which thread
-computed them, so results are reproducible bit for bit for any worker
-count; slab 0's error is raised before any helper starts, and since a
-thread stops at its own first failing slab, the lowest failing slab is
-always evaluated and its error is the one raised, as on one worker.
+partition. No slab's rows depend on another slab or on which thread computed
+them, so results are reproducible bit for bit for any worker count; slab 0's
+error is raised before any helper starts, and since a thread stops at its
+own first failing slab, the lowest failing slab is always evaluated and its
+error is the one raised, as on one worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -78,6 +83,10 @@ _CHUNK_ENTRIES = 2**18
 WORKER_ENV_VAR = "OPAA_MAX_WORKERS"
 # the first slab must take this long before helper threads share the rest
 _HELPER_MIN_SLAB_S = 1e-3
+# a store of at most this many entries (8 MB) is kept by its thread for the
+# thread's next solve, in _kept.store
+_KEPT_STORE_ENTRIES = 2**20
+_kept = threading.local()
 # a shell layout held for reuse has at most this many entries (uint8, so as
 # many bytes); the cache holds at most 4 of them, 16 MB
 _LAYOUT_CACHE_ENTRIES = 2**22
@@ -102,7 +111,9 @@ class TargetDensity:
     over the coordinates can instead compute them once per coordinate on
     ``grid.axes`` and combine them by broadcasting; such an override must
     return the bits ``log_density_batch`` returns on that batch, or results
-    would depend on which path ran. ``opaa oracle-evidence`` keeps calling
+    would depend on which path ran. The engine never writes into the array
+    either method returns, so a target may return a cached or read-only
+    one. ``opaa oracle-evidence`` keeps calling
     ``log_density_batch``, so the reference integral does not share the
     engine's evaluation path.
     """
@@ -309,25 +320,31 @@ def _lifted_weights(rule):
 
 
 def _sqrt_target_values(target, points, log_jacobian=0.0):
-    """exp((log P + log_jacobian) / 2) at a GridPoints or an (n, dim) batch."""
+    """exp((log P + log_jacobian) / 2) at a GridPoints or an (n, dim) batch.
+
+    Computed in place in one new array; the array the target returned is
+    never written.
+    """
     if isinstance(points, GridPoints):
         method, n = "log_density_grid", math.prod(points.shape)
         logp = target.log_density_grid(points)
     else:
         method, n = "log_density_batch", points.shape[0]
         logp = target.log_density_batch(points)
-    logp = np.asarray(logp, dtype=float) + log_jacobian
+    logp = np.asarray(logp, dtype=float)
     if logp.shape != (n,):
         raise ValueError(f"{method} returned shape {logp.shape}, expected ({n},)")
+    vals = np.add(logp, log_jacobian)
+    vals *= 0.5
     with np.errstate(over="ignore"):
-        vals = np.exp(0.5 * logp)
+        np.exp(vals, out=vals)
     finite = np.isfinite(vals)
     if not np.all(finite):
         t = int(np.argmin(finite))
         # only here is a grid's point batch built
         raise NumericalDomainError(
             f"non-finite integrand at node {tuple(np.asarray(points)[t].tolist())}: "
-            f"log density {float(logp[t])!r}"
+            f"log density {float(logp[t] + log_jacobian)!r}"
         )
     return vals
 
@@ -387,19 +404,49 @@ def check_capacity(entries, what):
         raise CapacityError(f"{what} {entries} entries, above the {TENSOR_VALUE_LIMIT} cap")
 
 
+def _box_entries(shape):
+    """Entries of a coefficient box, or of the store the slabs fill, of the
+    given shape; CapacityError above the cap."""
+    entries = math.prod(shape)
+    check_capacity(entries, f"coefficient box of shape {shape} has")
+    return entries
+
+
 def _zero_box(shape):
     """A zero coefficient box of the given shape, refused above the cap."""
-    check_capacity(math.prod(shape), f"coefficient box of shape {shape} has")
+    _box_entries(shape)
     return np.zeros(shape)
 
 
-def _project(target, grid, table, size, workers, amap):
+@contextlib.contextmanager
+def _thread_store(shape):
+    """An uninitialized float store of the given shape.
+
+    It lies in the calling thread's last store when that has room, and a
+    store of at most _KEPT_STORE_ENTRIES entries is kept for the thread's
+    next solve: freed and allocated again, it would take fresh pages from
+    the heap on every solve. It is taken out while in use, so that a solve
+    nested in a target's evaluation gets its own.
+    """
+    entries = _box_entries(shape)
+    flat = _kept.__dict__.pop("store", None)
+    if flat is None or flat.size < entries:
+        flat = np.empty(entries)
+    try:
+        yield flat[:entries].reshape(shape)
+    finally:
+        if flat.size <= _KEPT_STORE_ENTRIES:
+            _kept.store = flat
+
+
+def _project(target, grid, table, size, workers, amap, store):
     """Coefficient box a[tau] for every tau in [0, size - 1]^dim.
 
     The target is evaluated at the mapped nodes scale * r + shift, with the
     map's log-Jacobian. Slabs are runs of whole leading-axis rows; each
-    contracts its full axes into its own rows of an (order, size, ..., size)
-    store, whose leading axis is contracted once after the last slab.
+    contracts its full axes into its own rows of the (order, size, ...,
+    size) ``store``, whose leading axis is contracted once after the last
+    slab. Every row is written, so the store may come uninitialized.
     The caller fills slab 0 alone, raising its error if it fails. Only if
     that took _HELPER_MIN_SLAB_S or more does thread t of min(workers,
     slabs - 1) take the remaining slabs t + 1, t + 1 + threads, ... in
@@ -408,20 +455,28 @@ def _project(target, grid, table, size, workers, amap):
     error is raised.
     """
     dim, order = grid.dim, grid.rule.order
-    store = _zero_box((order,) + (size,) * (dim - 1))
-    nodes = amap.scale[:, None] * grid.rule.nodes + amap.shift[:, None]
+    # checked for finite coordinates once; the slabs share its axes
+    nodes = GridPoints(amap.scale[:, None] * grid.rule.nodes + amap.shift[:, None])
     proj = (table.values[:size] * _lifted_weights(grid.rule)).T
     step = max(1, BLOCK_SIZE // order ** (dim - 1))
     first, *rest = range(0, order, step)
     failures = []
 
     def fill(lo):
-        points = GridPoints((nodes[0, lo : lo + step], *nodes[1:]))
+        points = nodes._rows(lo, lo + step)
         values = _sqrt_target_values(target, points, amap.log_jacobian)
+        rows = store[lo : lo + step]
+        if dim == 1:
+            rows[:] = values
+            return
         # rows last: each round contracts the leading axis and appends its
         # degrees, so the result is (rows, degree_2, ..., degree_dim)
-        rows = np.moveaxis(values.reshape(points.shape), 0, -1)
-        store[lo : lo + step] = _contract_axes(rows, [proj] * (dim - 1))
+        box = np.moveaxis(values.reshape(points.shape), 0, -1)
+        box = _contract_axes(box, [proj] * (dim - 2))
+        # the last round is the product np.tensordot runs, written straight
+        # into the slab's rows of the store
+        at = np.moveaxis(box, 0, -1).reshape(-1, order)
+        np.dot(at, proj, out=rows.reshape(-1, size))
 
     def work(t):
         for lo in rest[t::threads]:
@@ -482,7 +537,8 @@ def _solve(target, grid, table, max_degree, workers, amap):
     """Every coefficient shell up to max_degree, clamped to the aliasing box."""
     degree, size = _box_extent(grid, max_degree)
     _check_table(grid, table, size - 1)
-    box = _project(target, grid, table, size, workers, amap)
+    with _thread_store((grid.rule.order,) + (size,) * (grid.dim - 1)) as store:
+        box = _project(target, grid, table, size, workers, amap, store)
     return _shells(box, grid.rule.order, degree)
 
 
@@ -564,7 +620,7 @@ def run_opaa(
         or more do up to ``workers - 1`` helpers start, thread t of
         min(workers, slabs - 1) taking slabs 1 + t, 1 + t + threads, ...
         in increasing order. Shorter slabs (a cheap target such as a dim-4
-        Gaussian, 0.3-0.7 ms per slab) run faster on one thread on a 2-CPU
+        Gaussian, 0.2-0.4 ms per slab) run faster on one thread on a 2-CPU
         host; a grid of at most BLOCK_SIZE points is one slab and never
         starts a helper. The slab partition depends only on the grid
         shape, each slab fills its own rows and the leading axis is
@@ -659,6 +715,12 @@ class GridPoints:
     @property
     def shape(self):
         return tuple(axis.size for axis in self.axes)
+
+    def _rows(self, lo, hi):
+        # the sub-grid of axis-0 coordinates lo:hi, sharing the checked axes
+        rows = object.__new__(GridPoints)
+        rows.axes = (self.axes[0][lo:hi], *self.axes[1:])
+        return rows
 
     def __array__(self, dtype=None, copy=None):
         mesh = np.meshgrid(*self.axes, indexing="ij", copy=False)

@@ -6,7 +6,7 @@ LAPACK eigensolver behind ``np.linalg.eigh`` (Golub & Welsch 1969). Each rule
 carries the Hermite table of h_0..h_{Gamma-1} at its nodes, the projection
 matrix of every transform on its grid, and its weights come from the
 table's last row by the closed form w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2).
-Rules are built once per order and shared. Each rule also carries the
+Rules are shared: the _RULE_CACHE_ORDERS orders used most recently are kept. Each rule also carries the
 sqrt(2)-scaled variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates
 against the half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
 
@@ -40,6 +40,9 @@ __all__ = [
 MAX_ORDER = 256
 # weight_multiset_stats lists one histogram entry per distinct weight
 _MAX_DISTINCT_WEIGHTS = 10**6
+# rules kept for reuse: a solve and a mass() check use two orders, and
+# all 256 orders would keep 49 MB of Hermite tables alive
+_RULE_CACHE_ORDERS = 16
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ def _nodes(order):
 def gauss_hermite(order):
     """The Gauss-Hermite rule of the given order (1..MAX_ORDER).
 
-    Rules are immutable, so each order is built once per process and the
-    same instance is returned to every caller.
+    Rules are immutable, so the same instance is returned to every caller
+    while its order is among the _RULE_CACHE_ORDERS orders asked for most
+    recently; any other order is built again.
 
     Returns
     -------
@@ -95,7 +99,7 @@ def gauss_hermite(order):
     return _build_rule(_validated_order(order))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_RULE_CACHE_ORDERS)
 def _build_rule(order):
     nodes = _nodes(order)
     table = hermite.build_table(order - 1, nodes)

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import resource
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,6 +68,40 @@ def test_summarize_verdicts_on_synthetic_runs():
     assert rows["same"]["median_change"] == 0.0
 
 
+def test_run_once_records_the_processs_minor_faults(monkeypatch, tmp_path):
+    # a faked benchmark process whose run took the children's minor faults
+    # from 1000 to 1250
+    readings = iter([1000, 1250])
+
+    def getrusage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        return SimpleNamespace(ru_minflt=next(readings))
+
+    line = json.dumps({"correct": True, "attempted": 50, "failed": 0, "metrics": {}})
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, f'environment {{"workers": 2}}\n{line}\n', "")
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", getrusage)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result, env = bench_pairs.run_once(tmp_path, "w", 3, 1.0)
+    assert result == {"correct": True, "attempted": 50, "failed": 0, "metrics": {}, "minor_faults": 250}
+    assert env == {"workers": 2}
+
+
+def test_summary_gives_each_sides_median_faults_per_op():
+    # over the ten correct pairs only: the parent 100 faults per op in every
+    # run, the change 1 to 10, whose median is 5.5
+    runs = synthetic_runs()
+    for i, run in enumerate(runs):
+        run["attempted"] = 10
+        run["minor_faults"] = 1000 if run["side"] == "parent" else 10 * (i // 2 + 1)
+    rows = bench_pairs.summarize(runs, SPEC)["w"]
+    assert rows["minor_faults_per_op"] == {"parent": 100.0, "change": 5.5}
+    # runs without the count, as in records written before it, give no row
+    assert "minor_faults_per_op" not in bench_pairs.summarize(synthetic_runs(), SPEC)["w"]
+
+
 def test_verdict_rule_edges():
     verdict = bench_pairs.verdict
     # worse by less than the bound on a tight parent is within bound
@@ -91,7 +128,8 @@ def test_record_holds_three_traced_runs_per_workload_and_side(tmp_path, monkeypa
         metrics = {name: {"value": value, "unit": "s"} for name in names}
         if trace and (workload, seed) == (last, 11) and tree != tmp_path:
             return {"correct": False, "metrics": {}}, env
-        return {"correct": True, "metrics": metrics}, env
+        faults = 8 if tree == tmp_path else 2
+        return {"correct": True, "attempted": 4, "minor_faults": faults, "metrics": metrics}, env
 
     monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: ("0" * 40, tmp_path))
     monkeypatch.setattr(bench_pairs, "same_benchmark", lambda a, b: True)
@@ -128,3 +166,5 @@ def test_record_holds_three_traced_runs_per_workload_and_side(tmp_path, monkeypa
     }
     out = capsys.readouterr().out
     assert f"{first} cli.load_s: parent 2 [1.5-2.5], change 1 [0.75-1.25]" in out.splitlines()
+    assert record["summary"][first]["minor_faults_per_op"] == {"parent": 2.0, "change": 0.5}
+    assert f"{first} minor faults per op: 2 -> 0.5 (setup probes included)" in out.splitlines()

@@ -213,6 +213,149 @@ def test_log_density_grid_of_the_wrong_shape_is_refused(monkeypatch):
             run_opaa(_PerAxisSpike(2, [], shape=(1, -1)), 12, workers=workers)
 
 
+class _RowTarget(TargetDensity):
+    """log P = -theta_2^2 on every row: each one-row slab gets the same values.
+
+    With ``cached`` every slab gets one array, read-only if ``frozen``;
+    without, each slab gets a fresh copy of it.
+    """
+
+    dim = 2
+
+    def __init__(self, cached, frozen=False):
+        self._cached = cached
+        self._values = None
+        self._frozen = frozen
+
+    def log_density_grid(self, grid):
+        if self._values is None:
+            rows = grid.axes[0].size
+            self._values = np.tile(-(grid.axes[1] ** 2), rows)
+            self._values.setflags(write=not self._frozen)
+        return self._values if self._cached else self._values.copy()
+
+
+def test_the_engine_never_writes_into_the_targets_array(monkeypatch):
+    # twelve one-row slabs under a map with a nonzero log-Jacobian, shared by
+    # two threads: a cached or read-only array gives the bits of fresh ones
+    # and is unchanged after the solve
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 12)
+    monkeypatch.setattr(opaa.core, "_HELPER_MIN_SLAB_S", 0.0)
+    amap = AffineMap(scale=[2.0, 0.5], shift=[0.0, 0.1])
+    for workers in (1, 2):
+        fresh = run_opaa(_RowTarget(False), 12, max_degree=8, precondition=amap, workers=workers)
+        for frozen in (False, True):
+            target = _RowTarget(True, frozen)
+            run = run_opaa(target, 12, max_degree=8, precondition=amap, workers=workers)
+            assert run.coefficients.values.tobytes() == fresh.coefficients.values.tobytes()
+            assert run.evidence == fresh.evidence
+            expected = -((amap.scale[1] * gauss_hermite(12).nodes + 0.1) ** 2)
+            assert target._values.tobytes() == expected.tobytes()
+
+
+class _Overflow(TargetDensity):
+    """log P = 1500 at theta = 0, finite yet too large for exp(log P / 2)."""
+
+    dim = 1
+
+    def log_density_batch(self, points):
+        return np.where(np.asarray(points)[:, 0] == 0.0, 1500.0, -1.0)
+
+
+class _OverflowPerAxis(_Overflow):
+    def log_density_grid(self, grid):
+        return np.where(grid.axes[0] == 0.0, 1500.0, -1.0)
+
+
+@pytest.mark.parametrize("target", [_Overflow(), _OverflowPerAxis()], ids=["batch", "grid"])
+def test_an_overflowing_integrand_names_its_log_density(target):
+    # the message gives log P plus the log-Jacobian, log 2, which the
+    # engine adds before it halves and exponentiates
+    amap = AffineMap(scale=[2.0], shift=[0.0])
+    with pytest.raises(NumericalDomainError) as err:
+        run_opaa(target, 3, precondition=amap, workers=1)
+    assert str(err.value) == (
+        f"non-finite integrand at node (0.0,): log density {1500.0 + amap.log_jacobian!r}"
+    )
+
+
+class _NestedSolve(TargetDensity):
+    """The dim-2 Gaussian; its slab at theta_1 == trigger first runs a solve."""
+
+    dim = 2
+
+    def __init__(self, trigger, inner):
+        self._trigger = trigger
+        self._inner = inner
+        self.inner_runs = []
+
+    def log_density_grid(self, grid):
+        if self._trigger in grid.axes[0]:
+            self.inner_runs.append(self._inner())
+        return opaa.GaussianIdentity(2).log_density_grid(grid)
+
+
+def test_a_solve_nested_in_a_target_keeps_both_stores(monkeypatch):
+    # the outer solve's slab 5 runs an inner solve on the same thread after
+    # rows 0-4 of the outer store are written: each solve has its own store
+    monkeypatch.setattr(opaa.core, "BLOCK_SIZE", 12)
+    amap = AffineMap(scale=[0.9, 1.1], shift=[0.2, -0.1])
+    inner_map = AffineMap(scale=[1.3, 0.7], shift=[-0.4, 0.5])
+
+    def inner():
+        return run_opaa(opaa.GaussianIdentity(2), 12, max_degree=9, precondition=inner_map)
+
+    alone = run_opaa(opaa.GaussianIdentity(2), 12, max_degree=9, precondition=amap, workers=1)
+    inner_alone = inner()
+    target = _NestedSolve(0.9 * gauss_hermite(12).nodes[5] + 0.2, inner)
+    nested = run_opaa(target, 12, max_degree=9, precondition=amap, workers=1)
+    (inner_run,) = target.inner_runs
+    assert nested.coefficients.values.tobytes() == alone.coefficients.values.tobytes()
+    assert inner_run.coefficients.values.tobytes() == inner_alone.coefficients.values.tobytes()
+
+
+def _in_new_thread(fn):
+    """fn() on a thread of its own, which has kept no store yet."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and out
+    return out[0]
+
+
+def test_the_store_is_kept_for_the_threads_next_solve(monkeypatch):
+    # a (16, 13, 13, 13) store is kept; a smaller solve after it runs in its
+    # first entries and gives the bits it gives on a thread with no store
+    amap = AffineMap(scale=[0.8] * 4, shift=[0.3] * 4)
+    small = AffineMap(scale=[0.8] * 3, shift=[0.3] * 3)
+
+    def solve_small():
+        return run_opaa(opaa.GaussianIdentity(3), 12, max_degree=8, precondition=small)
+
+    def solve_large():
+        return run_opaa(opaa.GaussianIdentity(4), 16, max_degree=12, precondition=amap)
+
+    def large_then_small():
+        solve_large()
+        kept = opaa.core._kept.store
+        again = solve_small()
+        return kept, opaa.core._kept.store, again
+
+    fresh = _in_new_thread(solve_small)
+    kept, after, again = _in_new_thread(large_then_small)
+    assert kept.size == 16 * 13**3 and after is kept
+    assert again.coefficients.values.tobytes() == fresh.coefficients.values.tobytes()
+    # a store above the limit is not kept
+    monkeypatch.setattr(opaa.core, "_KEPT_STORE_ENTRIES", 16 * 13**3 - 1)
+
+    def large_is_kept():
+        solve_large()
+        return hasattr(opaa.core._kept, "store")
+
+    assert not _in_new_thread(large_is_kept)
+
+
 @pytest.fixture
 def helpers_started(monkeypatch):
     """The helper threads _project starts, in start order."""
@@ -401,7 +544,7 @@ def test_helper_threads_follow_the_slab_count(monkeypatch, helpers_started, work
     # helpers start only after a first slab of _HELPER_MIN_SLAB_S or more,
     # and then as many as the other slabs can occupy
     dim4 = AffineMap(scale=[0.8] * 4, shift=[0.3] * 4)
-    # the dim-4 benchmark shape, four slabs of about 0.3 ms each: no run of
+    # the dim-4 benchmark shape, four slabs of about 0.2 ms each: no run of
     # three on an idle or a busy host should start a helper
     counts = []
     for _ in range(3):

@@ -112,6 +112,16 @@ def test_rules_are_cached_per_order():
         assert not arr.flags.writeable
 
 
+def test_the_rule_cache_keeps_the_most_recent_orders():
+    # of 64 orders the 16 used last stay the same instances; an older one
+    # is built again
+    rules = {order: gauss_hermite(order) for order in range(1, 65)}
+    info = quadrature._build_rule.cache_info()
+    assert info.maxsize == info.currsize == quadrature._RULE_CACHE_ORDERS == 16
+    assert all(gauss_hermite(order) is rules[order] for order in range(49, 65))
+    assert gauss_hermite(48) is not rules[48]
+
+
 def gaussian_moment(k):
     # integral of x^k e^{-x^2/2} dx
     if k % 2 == 1:
