@@ -33,10 +33,9 @@ from .models import (
     PlantedDensity,
     from_config,
     gmm_log_joint,
-    gmm_sample_dataset,
     load_config,
 )
-from .multiindex import enumerate_shell, shell_count
+from .multiindex import enumerate_shell
 from .oracle import BoxSpec, gmm_evidence_direct, integrate_box, integrate_box_refined
 from .quadrature import (
     QuadratureRule,
@@ -80,12 +79,10 @@ __all__ = [
     "gauss_hermite",
     "gmm_evidence_direct",
     "gmm_log_joint",
-    "gmm_sample_dataset",
     "integrate_1d",
     "integrate_box",
     "integrate_box_refined",
     "load_config",
     "run_opaa",
-    "shell_count",
     "weight_multiset_stats",
 ]

@@ -67,7 +67,6 @@ __all__ = [
     "RunResult",
     "TENSOR_VALUE_LIMIT",
     "TargetDensity",
-    "WORKER_ENV_VAR",
     "build_density",
     "coefficient_naive",
     "coefficients_contracted",
@@ -80,7 +79,6 @@ BLOCK_SIZE = 16384
 TENSOR_VALUE_LIMIT = 10**8
 # entries of the largest array a density evaluation builds per chunk (2 MB)
 _CHUNK_ENTRIES = 2**18
-WORKER_ENV_VAR = "OPAA_MAX_WORKERS"
 # the first slab must take this long before helper threads share the rest
 _HELPER_MIN_SLAB_S = 1e-3
 # a store of at most this many entries (8 MB) is kept by its thread for the
@@ -225,11 +223,15 @@ class CoefficientSet:
     _bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        dim = as_int(self.dim, "dim", 1)
+        quad_order = self.quad_order
+        if quad_order is not None:
+            quad_order = as_int(quad_order, "quad_order", 1)
         taus = np.array(self.taus, dtype=np.intp)
         values = np.array(self.values, dtype=float)
-        if taus.ndim != 2 or taus.shape[1] != self.dim or values.shape != taus.shape[:1]:
+        if taus.ndim != 2 or taus.shape[1] != dim or values.shape != taus.shape[:1]:
             raise ValueError(
-                f"need an (n, {self.dim}) taus array and n values, got shapes "
+                f"need an (n, {dim}) taus array and n values, got shapes "
                 f"{taus.shape} and {values.shape}"
             )
         # column adds: a row sum over a few columns is several times slower
@@ -244,6 +246,8 @@ class CoefficientSet:
         )
         taus.setflags(write=False)
         values.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "quad_order", quad_order)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "shell_energy", energy)
@@ -258,6 +262,7 @@ class CoefficientSet:
         its coefficients would count twice in the energy but once in the
         reconstruction.
         """
+        dim = as_int(dim, "dim", 1)
         pairs = list(pairs)
         if len({tuple(tau) for tau, _ in pairs}) != len(pairs):
             raise ValueError("repeated multi-index in coefficient pairs")
@@ -375,8 +380,8 @@ def coefficient_naive(target, grid, table, tau):
     lifted = _lifted_weights(grid.rule)
     rows = np.asarray(tau)
     acc = 0.0
-    for start, stop in grid.block_ranges(BLOCK_SIZE):
-        idx = grid.decode(start, stop)
+    for start in range(0, grid.total_count, BLOCK_SIZE):
+        idx = grid.decode(start, min(start + BLOCK_SIZE, grid.total_count))
         weights = np.prod(lifted[idx], axis=1)
         basis = np.prod(table.values[rows, idx], axis=1)
         acc += float(
@@ -565,16 +570,7 @@ def _resolve_workers(workers):
             workers = len(os.sched_getaffinity(0))
         else:
             workers = os.cpu_count() or 1
-    workers = as_int(workers, "workers", 1)
-    cap = os.environ.get(WORKER_ENV_VAR)
-    if cap:
-        # parsed, not cast: "2.0" and "two" are refused like any bad integer
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}") from None
-        workers = min(workers, max(1, limit))
-    return workers
+    return as_int(workers, "workers", 1)
 
 
 def run_opaa(
@@ -615,9 +611,8 @@ def run_opaa(
         per-axis quadrature nodes r; preserves the evidence.
     workers : int, optional
         Threads that evaluate grid slabs (default: the CPUs this process
-        may run on, capped by the OPAA_MAX_WORKERS environment variable).
-        The calling thread evaluates slab 0 alone; only if that took 1 ms
-        or more do up to ``workers - 1`` helpers start, thread t of
+        may run on). The calling thread evaluates slab 0 alone; only if
+        that took 1 ms or more do up to ``workers - 1`` helpers start, thread t of
         min(workers, slabs - 1) taking slabs 1 + t, 1 + t + threads, ...
         in increasing order. Shorter slabs (a cheap target such as a dim-4
         Gaussian, 0.2-0.4 ms per slab) run faster on one thread on a 2-CPU
@@ -737,8 +732,9 @@ class ApproxDensity:
     through the Hermite-function recurrence, so it stays finite for any
     finite coordinate; a non-finite one raises ValueError. Calling
     convention: a 1-D array is one point, a 2-D array is a batch of row
-    points, and a GridPoints is the batch of its points, evaluated per axis.
-    ``grid`` returns the latter in grid shape.
+    points (an array of more dimensions raises ValueError), and a
+    GridPoints is the batch of its points, evaluated per axis. ``grid``
+    returns the latter in grid shape.
     """
 
     coefficients: CoefficientSet
@@ -759,6 +755,8 @@ class ApproxDensity:
             return self._on_grid(points)
         cs = self.coefficients
         pts = np.asarray(points, dtype=float)
+        if pts.ndim > 2:
+            raise ValueError(f"points must be one point or a 2-D batch, got shape {pts.shape}")
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != cs.dim:
@@ -847,6 +845,9 @@ def build_density(coeffs):
     """Wrap a coefficient set as a normalized evaluable density."""
     if coeffs.values.size == 0:
         raise ValueError("coefficient set is empty")
-    if coeffs.total_energy <= 0.0:
-        raise ValueError("coefficient set has zero total energy")
+    energy = coeffs.total_energy
+    if not 0.0 < energy < np.inf:
+        raise ValueError(
+            f"coefficient set has zero total energy or a non-finite one: {energy!r}"
+        )
     return ApproxDensity(coefficients=coeffs)

@@ -31,16 +31,10 @@ __all__ = [
     "GmmJointDensity",
     "GmmModel",
     "PlantedDensity",
-    "REFERENCE_MEANS",
     "from_config",
     "gmm_log_joint",
-    "gmm_sample_dataset",
     "load_config",
 ]
-
-# three-cluster demo means, kept as a fixed regression input for the sampler
-# and joint-density tests; nothing quantitative is asserted about runs on it
-REFERENCE_MEANS = (-18.61, 3.81, 8.84)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -278,27 +272,6 @@ class GmmJointDensity(TargetDensity):
             values = _gmm_log_joint(self.model, axes[0], np.add, np.logaddexp, (rows, cols))
             return values[inverse]
         return _gmm_log_joint(self.model, axes, np.add.outer, np.logaddexp.outer)
-
-
-def gmm_sample_dataset(clusters, prior_sigma, obs_sigma, n, seed):
-    """Draw means from the prior and n observations from the mixture.
-
-    Deterministic in ``seed``. Returns (means, observations).
-    """
-    clusters = as_int(clusters, "clusters", 1)
-    n = as_int(n, "n", 0)
-    rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, prior_sigma, size=clusters)
-    picks = rng.integers(0, clusters, size=n)
-    observations = rng.normal(means[picks], obs_sigma)
-    # validates the parameters as a side effect
-    GmmModel(
-        clusters=clusters,
-        prior_sigma=prior_sigma,
-        obs_sigma=obs_sigma,
-        observations=observations,
-    )
-    return means, observations
 
 
 def load_config(path):

@@ -6,9 +6,10 @@ LAPACK eigensolver behind ``np.linalg.eigh`` (Golub & Welsch 1969). Each rule
 carries the Hermite table of h_0..h_{Gamma-1} at its nodes, the projection
 matrix of every transform on its grid, and its weights come from the
 table's last row by the closed form w_i = 1 / (Gamma * h_{Gamma-1}(r_i)^2).
-Rules are shared: the _RULE_CACHE_ORDERS orders used most recently are kept. Each rule also carries the
-sqrt(2)-scaled variant (r~ = sqrt(2) r, w~ = sqrt(2) w) that integrates
-against the half-Gaussian weight e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
+Rules are shared: the _RULE_CACHE_ORDERS orders used most recently are
+kept. Each rule also carries the sqrt(2)-scaled variant (r~ = sqrt(2) r,
+w~ = sqrt(2) w) that integrates against the half-Gaussian weight
+e^{-x^2/2}, with sum(w~) = sqrt(2*pi).
 
 Tensor grids over [0..Gamma-1]^N are never materialized: grid points are
 decoded on demand from linear indices in odometer order (last coordinate
@@ -31,7 +32,6 @@ __all__ = [
     "MAX_ORDER",
     "QuadratureRule",
     "TensorGrid",
-    "eigenvector_weights",
     "gauss_hermite",
     "integrate_1d",
     "weight_multiset_stats",
@@ -119,23 +119,6 @@ def _build_rule(order):
     )
 
 
-def eigenvector_weights(order):
-    """Weights recovered from the Jacobi eigenvectors instead of h_{Gamma-1}.
-
-    The normalized eigenvector of the Jacobi matrix for the node r is
-    proportional to (h_0(r), ..., h_{Gamma-1}(r)), so its squared first
-    component times the total mass sqrt(pi) is w = 1 / sum_k h_k(r)^2.
-    The eigenvector is the rule's table column, built by the recurrence
-    rather than taken from the eigensolver, whose components are accurate
-    only in absolute terms and would leave the outermost weights off in
-    relative terms. Exists as an independent route for testing the
-    closed-form weights; :func:`gauss_hermite` does not use it.
-    """
-    table = _build_rule(_validated_order(order)).table
-    w = 1.0 / np.sum(table.values**2, axis=0)
-    return 0.5 * (w + w[::-1])
-
-
 def integrate_1d(f, rule):
     """Integrate f against the weight e^{-x^2/2} with the scaled rule.
 
@@ -181,14 +164,6 @@ class TensorGrid:
             )
         shape = (self.rule.order,) * self.dim
         return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
-
-    def block_ranges(self, block_size):
-        """Contiguous (start, stop) linear ranges covering the whole grid."""
-        block_size = as_int(block_size, "block_size", 1)
-        total = self.total_count
-        return [
-            (s, min(s + block_size, total)) for s in range(0, total, block_size)
-        ]
 
 
 def weight_multiset_stats(order, dim):

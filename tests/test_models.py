@@ -10,14 +10,12 @@ import pytest
 
 import opaa
 from opaa.models import (
-    REFERENCE_MEANS,
     GaussianIdentity,
     GmmJointDensity,
     GmmModel,
     PlantedDensity,
     from_config,
     gmm_log_joint,
-    gmm_sample_dataset,
     load_config,
 )
 
@@ -332,33 +330,16 @@ def test_gmm_joint_density_adapter():
     assert target.log_density(mu) == pytest.approx(gmm_log_joint(model, mu), rel=1e-15)
 
 
-def test_sample_dataset_deterministic():
-    a = gmm_sample_dataset(3, 10.0, 1.0, 20, seed=42)
-    b = gmm_sample_dataset(3, 10.0, 1.0, 20, seed=42)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
-    assert a[0].shape == (3,)
-    assert a[1].shape == (20,)
-
-
-def test_sample_dataset_empty_and_invalid():
-    means, obs = gmm_sample_dataset(2, 1.0, 1.0, 0, seed=0)
-    assert obs.size == 0
-    with pytest.raises(ValueError):
-        gmm_sample_dataset(2, 1.0, 1.0, -1, seed=0)
-
-
 def test_reference_means_fixture_is_stable():
-    # fixed regression input for the 3-cluster study; nothing quantitative
-    # is derived from it
-    assert REFERENCE_MEANS == (-18.61, 3.81, 8.84)
+    # fixed means for the 3-cluster study; nothing quantitative is derived
+    # from them
     model = GmmModel(
         clusters=3,
         prior_sigma=10.0,
         obs_sigma=1.0,
         observations=(-18.2, 4.0, 9.1),
     )
-    assert math.isfinite(gmm_log_joint(model, np.array(REFERENCE_MEANS)))
+    assert math.isfinite(gmm_log_joint(model, np.array([-18.61, 3.81, 8.84])))
 
 
 def test_config_round_trip(tmp_path):
