@@ -852,6 +852,16 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
     assert _resolve_workers(None) == 2
     monkeypatch.setattr(opaa.core.os, "cpu_count", lambda: None)
     assert _resolve_workers(None) == 1
+
+
+def test_worker_env_cap(monkeypatch):
+    # workers= is the one worker-count setting: the retired OPAA_MAX_WORKERS
+    # cap is not read, so an explicit count passes through as given
+    monkeypatch.setenv("OPAA_MAX_WORKERS", "2")
+    assert _resolve_workers(8) == 8
+    assert _resolve_workers(1) == 1
+    monkeypatch.setattr(opaa.core.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _resolve_workers(None) == 3
     with pytest.raises(ValueError):
         _resolve_workers(0)
     with pytest.raises(ValueError):
